@@ -69,6 +69,12 @@ def hash_requests(requests) -> str:
     return h.hexdigest()[:16]
 
 
+def hash_histogram(histogram) -> str:
+    """Stable content hash of a price histogram's probabilities."""
+    data = np.asarray(histogram.probs, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def _mlp_arrays(prefix: str, net: Mlp) -> dict:
     out = {}
     for i, lay in enumerate(net.layers):

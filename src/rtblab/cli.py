@@ -305,7 +305,7 @@ def cmd_solve_rlb(args):
     grid = ActionGrid.from_max_price(max(train_stats.w_max, 1.0))
     tables = rlb_dp_solve(m, horizon, max_budget, grid)
     ckpt.save_rlb_agent(args.out, tables, grid.values,
-                        ckpt.hash_requests([]), "train", cfg)
+                        ckpt.hash_histogram(m), "train", cfg)
     print(f"rlb tables solved: horizon {horizon}, budget grid {max_budget}")
     return 0
 

@@ -583,7 +583,9 @@ class PackedRequests:
 
     Uniform-arity batches (the common case: one hot per field) use an
     (n, k) index matrix; ragged batches fall back to concatenated
-    indices with row offsets.
+    indices with row offsets. A ragged batch may hold empty rows (no
+    active index); `filled` then lists the non-empty rows, and is None
+    when every row has an index.
     """
 
     def __init__(self, requests):
@@ -593,11 +595,15 @@ class PackedRequests:
         self.width = requests[0].width
         if np.all(counts == counts[0]):
             self.mat = np.stack([r.indices for r in requests])
-            self.idx = self.ptr = None
+            self.idx = self.ptr = self.filled = None
         else:
             self.mat = None
             self.idx = np.concatenate([r.indices for r in requests])
-            self.ptr = np.concatenate([[0], np.cumsum(counts)])
+            self._set_ptr(counts)
+
+    def _set_ptr(self, counts) -> None:
+        self.ptr = np.concatenate([[0], np.cumsum(counts)])
+        self.filled = np.flatnonzero(counts) if np.any(counts == 0) else None
 
     def __len__(self) -> int:
         return self.mat.shape[0] if self.mat is not None else self.ptr.size - 1
@@ -606,7 +612,13 @@ class PackedRequests:
         """Per-row sum of w over active indices (x @ w for one-hot x)."""
         if self.mat is not None:
             return w[self.mat].sum(axis=1)
-        return np.add.reduceat(w[self.idx], self.ptr[:-1])
+        if self.filled is None:
+            return np.add.reduceat(w[self.idx], self.ptr[:-1])
+        # reduceat gives an empty segment the next element, not 0: reduce
+        # over the non-empty rows, whose segments are then contiguous
+        out = np.zeros(len(self))
+        out[self.filled] = np.add.reduceat(w[self.idx], self.ptr[self.filled])
+        return out
 
     def scatter(self, row_values: np.ndarray) -> np.ndarray:
         """Accumulate per-row values onto active indices (x^T @ v)."""
@@ -623,12 +635,12 @@ class PackedRequests:
         out.width = self.width
         if self.mat is not None:
             out.mat = self.mat[ids]
-            out.idx = out.ptr = None
+            out.idx = out.ptr = out.filled = None
         else:
             out.mat = None
             segs = [self.idx[self.ptr[i] : self.ptr[i + 1]] for i in ids]
             out.idx = np.concatenate(segs)
-            out.ptr = np.concatenate([[0], np.cumsum([s.size for s in segs])])
+            out._set_ptr(np.array([s.size for s in segs]))
         return out
 
     def dense(self) -> np.ndarray:

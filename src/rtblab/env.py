@@ -3,11 +3,25 @@
 Composes a market-state sampler (generator or empirical), the price
 model, and the click model. The advertiser state is (budget left, time
 left); requests are i.i.d. across steps, so the only coupling between
-steps is the budget. One step consumes a fixed number of random draws
-regardless of the action taken, which makes replaying an identical seed
-a shared price tape across policies.
+steps is the budget.
+
+No market draw depends on the bids, so an episode is a tape of
+(request, market price w_t, click uniform u_t) fixed by the seed. The
+environment draws that tape in blocks of at most TAPE_BLOCK steps: one
+block on reset and the next whenever the cursor runs off the end of the
+current one. Each block is drawn in this order:
+
+1. the requests, in one sampler call on the request ("x") stream;
+2. mu and sigma of the price model, one PackedRequests.dot each;
+3. w = max(N(mu, sigma^2), 0) for every row, then one click uniform per
+   row, both on the market stream;
+4. under click utility, the click probabilities of the block's rows.
+
+step() only reads the next tape entry, so replaying a seed gives every
+policy the same requests, prices and click uniforms.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +31,14 @@ from .errors import ConfigError
 from .market_action import ClickModel, PriceModel
 
 UTILITIES = ("impression", "click")
+
+# steps per tape block; bounds the block's request and Gumbel-noise
+# arrays when episodes are long (T0 = 100 000 at paper scale)
+TAPE_BLOCK = 1024
+
+
+class NonFiniteBidError(ValueError):
+    """The agent bid NaN or an infinity; the step is refused."""
 
 
 @dataclass
@@ -74,6 +96,10 @@ class SimEnv:
         self.spend = 0.0
         self.total_reward = 0
         self._request = None
+        # the current tape block: requests, prices, click uniforms and
+        # click probabilities (None under impression utility)
+        self._requests = self._prices = self._click_u = self._click_p = None
+        self._cursor = 0
 
     def _norm_obs(self) -> Observation:
         scale = self.meta.cpm_ref * self.meta.t0_ref / 1000.0
@@ -96,38 +122,49 @@ class SimEnv:
         self._b0 = float(b0)
         self.spend = 0.0
         self.total_reward = 0
-        self._request = self.sampler.sample()
+        self._draw_block()
         return self._norm_obs()
+
+    def _draw_block(self) -> None:
+        """Draw the tape for the next min(time left, TAPE_BLOCK) steps."""
+        n = min(self.state.time_left, TAPE_BLOCK)
+        requests = self.sampler.sample_batch(n)
+        packed = PackedRequests(requests)
+        mu = self.price_model.mu(packed)
+        sig = self.price_model.sigma(packed)
+        self._prices = np.maximum(self.rng.normal(mu, sig), 0.0).tolist()
+        self._click_u = self.rng.random(n).tolist()
+        self._click_p = (self.click_model.prob(packed).tolist()
+                         if self.utility == "click" else None)
+        self._requests = requests
+        self._cursor = 0
+        self._request = requests[0]
 
     def step(self, bid: float) -> StepOutcome:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        if not np.isfinite(bid):
-            raise ValueError(f"non-finite bid {bid!r}")
-        x = self._request
+        if not math.isfinite(bid):
+            raise NonFiniteBidError(f"non-finite bid {bid!r}")
+        i = self._cursor
+        w = self._prices[i]
         effective = min(max(float(bid), 0.0), self.state.budget)
-
-        # fixed draw pattern per step: price, click, then the next request
-        packed = PackedRequests([x])
-        mu = float(self.price_model.mu(packed)[0])
-        sig = float(self.price_model.sigma(packed)[0])
-        w = max(float(self.rng.normal(mu, sig)), 0.0)
-        click_u = float(self.rng.random())
-
         won = effective > w
         cost = w if won else 0.0
         if self.utility == "impression":
             reward = int(won)
         else:
-            p = float(self.click_model.prob(packed)[0]) if won else 0.0
-            reward = int(won and click_u < p)
+            reward = int(won and self._click_u[i] < self._click_p[i])
 
         self.state.budget -= cost
         self.state.time_left -= 1
         self.spend += cost
         self.total_reward += reward
         if self.state.time_left > 0:
-            self._request = self.sampler.sample()
+            if i + 1 == len(self._requests):
+                self._draw_block()
+            else:
+                self._cursor = i + 1
+                self._request = self._requests[i + 1]
         return StepOutcome(self._norm_obs(), reward, cost, self.done, won, w)
 
     def budget_conservation_error(self) -> float:

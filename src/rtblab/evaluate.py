@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .env import NonFiniteBidError
+
 
 @dataclass
 class EvalResult:
@@ -34,14 +36,15 @@ def evaluate_policy(env_factory, agent, b0: float, t0: int, repeats: int,
 
     Every episode runs in a fresh environment with its own rng streams.
     An episode where the agent emits a non-finite bid is aborted,
-    reported in the result, and excluded from the statistics.
+    reported in the result, and excluded from the statistics; any other
+    error propagates.
     """
     totals, spends, aborted = [], [], 0
     for ep in range(repeats):
         env = env_factory(f"{label}-{ep}")
         try:
             reward, spend = run_episode(env, agent, b0, t0)
-        except ValueError:
+        except NonFiniteBidError:
             aborted += 1
             continue
         totals.append(reward)

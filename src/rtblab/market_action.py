@@ -321,20 +321,6 @@ def train_click_model(train: SampleSet, val: SampleSet, rng,
     return best[1], best[2]
 
 
-def sample_market_price(model: PriceModel, request, rng) -> float:
-    """One price draw N(mu(x), sigma(x)^2), clipped at zero."""
-    packed = PackedRequests([request])
-    mu = float(model.mu(packed)[0])
-    sig = float(model.sigma(packed)[0])
-    return max(float(rng.normal(mu, sig)), 0.0)
-
-
-def sample_click(model: ClickModel, request, rng) -> int:
-    """Bernoulli click draw for a won auction."""
-    p = float(model.prob(PackedRequests([request]))[0])
-    return int(rng.random() < p)
-
-
 def average_ctr(model: ClickModel, requests) -> float:
     """Mean predicted click rate over a request corpus (LinBid's normalizer)."""
     return float(model.prob(PackedRequests(list(requests))).mean())

@@ -5,7 +5,8 @@ A generator maps standard-normal noise to a relaxed one-hot bid request
 trained with the Wasserstein objective plus an input-gradient penalty;
 the generator descends the negated critic score through the relaxation.
 Simulation-time sampling takes the per-field argmax of a relaxed draw,
-so emitted requests are exact one-hots.
+so emitted requests are exact one-hots. Every sampler (generator,
+empirical, uniform) draws n requests with one call, sample_batch(n).
 """
 
 from dataclasses import dataclass, field
@@ -144,8 +145,8 @@ class GeneratorSampler:
             idx[:, j] = lo + np.argmax(x[:, lo:hi], axis=1)
         return idx
 
-    def sample(self) -> BidRequest:
-        return BidRequest(self.sample_indices(1)[0], self.gen.width)
+    def sample_batch(self, n: int) -> list:
+        return [BidRequest(row, self.gen.width) for row in self.sample_indices(n)]
 
 
 class EmpiricalSampler:
@@ -157,8 +158,8 @@ class EmpiricalSampler:
         self.requests = list(requests)
         self.rng = rng
 
-    def sample(self) -> BidRequest:
-        return self.requests[int(self.rng.integers(len(self.requests)))]
+    def sample_batch(self, n: int) -> list:
+        return [self.requests[i] for i in self.rng.integers(len(self.requests), size=n)]
 
 
 class UniformSampler:
@@ -169,11 +170,10 @@ class UniformSampler:
         self.width = fdict.width
         self.rng = rng
 
-    def sample(self) -> BidRequest:
-        idx = np.array(
-            [int(self.rng.integers(lo, hi)) for lo, hi in self.slices], dtype=np.int64
-        )
-        return BidRequest(idx, self.width)
+    def sample_batch(self, n: int) -> list:
+        idx = np.stack([self.rng.integers(lo, hi, size=n, dtype=np.int64)
+                        for lo, hi in self.slices], axis=1)
+        return [BidRequest(row, self.width) for row in idx]
 
 
 def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,

@@ -49,9 +49,9 @@ def mmd_benchmark(test_requests, samplers: dict, n: int = 200,
                   repeats: int = 100, sigma: float = 1.0, rng=None) -> dict:
     """Mean and std of sqrt(n)*MMD between fresh test draws and each sampler.
 
-    samplers maps name -> object with sample() -> BidRequest. Per repeat
-    a fresh n-vs-n draw is taken; the reference side always comes from
-    the test corpus.
+    samplers maps name -> object with sample_batch(n) -> list of n
+    BidRequests. Per repeat a fresh n-vs-n draw is taken; the reference
+    side always comes from the test corpus.
     """
     test_requests = list(test_requests)
     if len(test_requests) == 0:
@@ -62,8 +62,7 @@ def mmd_benchmark(test_requests, samplers: dict, n: int = 200,
         ref_ids = rng.integers(len(test_requests), size=n)
         ref = [test_requests[i] for i in ref_ids]
         for name, sampler in samplers.items():
-            ys = [sampler.sample() for _ in range(n)]
-            values[name].append(mmd_estimate(ref, ys, sigma))
+            values[name].append(mmd_estimate(ref, sampler.sample_batch(n), sigma))
     for name, vals in values.items():
         arr = np.asarray(vals)
         out[name] = (float(arr.mean()), float(arr.std()))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rtblab.data import (
     DEFAULT_SCHEMA,
+    BidRequest,
     DatasetStats,
     FeatureDict,
+    PackedRequests,
     PriceHistogram,
     RawRecord,
     SampleSet,
@@ -382,3 +386,48 @@ class TestSyntheticMarket:
         assert np.allclose(got, want)
         for a, b in zip(loaded.requests[:20], market.samples.requests[:20]):
             assert a == b
+
+
+def requests_of(rows, width):
+    return [BidRequest(np.array(sorted(r), dtype=np.int64), width) for r in rows]
+
+
+@st.composite
+def ragged_batches(draw):
+    """Random request batches over a small width; rows may be empty."""
+    width = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.sets(st.integers(0, width - 1)), min_size=1, max_size=25))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return requests_of(rows, width), np.random.default_rng(seed)
+
+
+class TestPackedRequests:
+    def test_empty_middle_row_dots_to_zero(self):
+        packed = PackedRequests(requests_of([{0}, set(), {0}], 1))
+        assert packed.dot(np.array([3.0])).tolist() == [3.0, 0.0, 3.0]
+
+    def test_empty_last_row_dots_to_zero(self):
+        packed = PackedRequests(requests_of([{0}, {0, 1}, set()], 2))
+        assert packed.dot(np.array([3.0, 1.0])).tolist() == [3.0, 4.0, 0.0]
+
+    def test_rows_keeps_empty_rows(self):
+        packed = PackedRequests(requests_of([{0, 1}, set(), {1}], 2))
+        sub = packed.rows(np.array([1, 2, 1]))
+        assert sub.dot(np.array([3.0, 1.0])).tolist() == [0.0, 1.0, 0.0]
+        only_empty = packed.rows(np.array([1, 1]))
+        assert only_empty.dot(np.array([3.0, 1.0])).tolist() == [0.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_batches())
+    def test_dot_and_scatter_match_dense(self, batch):
+        reqs, rng = batch
+        packed = PackedRequests(reqs)
+        dense = np.stack([r.dense() for r in reqs])
+        w = rng.standard_normal(dense.shape[1])
+        v = rng.standard_normal(dense.shape[0])
+        assert np.allclose(packed.dot(w), dense @ w, rtol=1e-12, atol=1e-12)
+        assert np.allclose(packed.scatter(v), dense.T @ v, rtol=1e-12, atol=1e-12)
+        ids = rng.integers(len(reqs), size=len(reqs))
+        sub = packed.rows(ids)
+        assert np.array_equal(sub.dense(), dense[ids])
+        assert np.allclose(sub.dot(w), dense[ids] @ w, rtol=1e-12, atol=1e-12)

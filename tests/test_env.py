@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.stats import norm
 
 from rtblab.data import BidRequest
 from rtblab.env import (
+    TAPE_BLOCK,
     EnvMeta,
     EnvParts,
+    NonFiniteBidError,
     SimEnv,
     check_split_wiring,
     make_test_env,
@@ -24,10 +28,7 @@ def const_price_model(width, mu, per_index=None):
     return PriceModel(w, mu, np.zeros(width), -20.0)  # sigma ~ 2e-9
 
 
-def two_type_env(seed, label="e", utility="impression", click_model=None):
-    # request 0 -> price 3, request 1 -> price 7
-    reqs = [BidRequest(np.array([0]), 2), BidRequest(np.array([1]), 2)]
-    price = const_price_model(2, 0.0, {0: 3.0, 1: 7.0})
+def env_over(reqs, price, seed, label="e", utility="impression", click_model=None):
     meta = EnvMeta(split="train", cpm_ref=5000.0, t0_ref=100, w_max=7.0)
     return SimEnv(
         EmpiricalSampler(reqs, stream(seed, label, "x")),
@@ -37,6 +38,38 @@ def two_type_env(seed, label="e", utility="impression", click_model=None):
         meta,
         stream(seed, label, "m"),
     )
+
+
+def two_type_env(seed, label="e", utility="impression", click_model=None):
+    # request 0 -> price 3, request 1 -> price 7
+    reqs = [BidRequest(np.array([0]), 2), BidRequest(np.array([1]), 2)]
+    price = const_price_model(2, 0.0, {0: 3.0, 1: 7.0})
+    return env_over(reqs, price, seed, label, utility, click_model)
+
+
+def noisy_env(seed, label="e"):
+    # two request types with mean prices 3 and 7, sigma 2
+    reqs = [BidRequest(np.array([0]), 2), BidRequest(np.array([1]), 2)]
+    price = PriceModel(np.array([3.0, 7.0]), 0.0, np.zeros(2), float(np.log(2.0)))
+    return env_over(reqs, price, seed, label)
+
+
+def flat_price_env(seed, mu, sigma, label="p", utility="impression", click_model=None):
+    reqs = [BidRequest(np.array([0]), 2)]
+    price = PriceModel(np.zeros(2), mu, np.zeros(2), float(np.log(sigma)))
+    return env_over(reqs, price, seed, label, utility, click_model)
+
+
+class CountingSampler:
+    """Wraps a sampler and records the size of every batch drawn."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def sample_batch(self, n):
+        self.sizes.append(n)
+        return self.inner.sample_batch(n)
 
 
 class TestReset:
@@ -100,6 +133,14 @@ class TestStep:
         assert not out.won and out.cost == 0.0
         assert env.state.budget == 5.0
 
+    def test_non_finite_bid_refused(self):
+        env = two_type_env(88)
+        env.reset(10.0, 3)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(NonFiniteBidError):
+                env.step(bad)
+        assert env.state.time_left == 3 and env.spend == 0.0
+
     def test_click_utility_needs_win(self):
         always = ClickModel(np.zeros(2), 50.0)  # p ~ 1
         env = two_type_env(77, utility="click", click_model=always)
@@ -160,6 +201,106 @@ class TestInvariants:
         a, b = ids[:-1] - ids.mean(), ids[1:] - ids.mean()
         r = float(np.sum(a * b) / np.sqrt(np.sum(a * a) * np.sum(b * b)))
         assert abs(r) < 3.0 / np.sqrt(ids.size)
+
+
+class TestTape:
+    def test_prices_and_requests_do_not_depend_on_bids(self):
+        lo_env = noisy_env(83, label="tape")
+        hi_env = noisy_env(83, label="tape")
+        lo_obs = lo_env.reset(10_000.0, 300)
+        hi_obs = hi_env.reset(10_000.0, 300)
+        rng = stream(84, "bids")
+        while not lo_env.done:
+            assert lo_obs.request == hi_obs.request
+            lo_out = lo_env.step(float(rng.uniform(0, 4)))
+            hi_out = hi_env.step(float(rng.uniform(4, 12)))
+            assert lo_out.price == hi_out.price
+            lo_obs, hi_obs = lo_out.observation, hi_out.observation
+        assert hi_env.done and lo_env.total_reward < hi_env.total_reward
+
+    def test_episode_across_blocks(self):
+        t0 = 2 * TAPE_BLOCK + 37
+        runs = []
+        for _ in range(2):
+            env = noisy_env(85)
+            env.sampler = CountingSampler(env.sampler)
+            obs = env.reset(4000.0, t0)
+            rng = stream(86, "bids")
+            trace = []
+            while not env.done:
+                out = env.step(float(rng.uniform(0, 10)))
+                assert env.state.budget >= 0.0
+                trace.append((int(obs.request.indices[0]), out.price, out.won))
+                obs = out.observation
+            assert env.sampler.sizes == [TAPE_BLOCK, TAPE_BLOCK, 37]
+            assert env.budget_conservation_error() <= 1e-9
+            assert len(trace) == t0
+            # the terminal observation repeats the last request
+            assert int(obs.request.indices[0]) == trace[-1][0]
+            runs.append((trace, env.spend, env.total_reward))
+        assert runs[0] == runs[1]
+
+    def test_empty_and_multi_hot_requests_priced_per_row(self):
+        # a ragged corpus with an empty request packs into every tape block
+        reqs = [BidRequest(np.array([0, 1]), 3), BidRequest(np.array([], np.int64), 3),
+                BidRequest(np.array([2]), 3)]
+        want = {(0, 1): 3.5, (): 0.5, (2,): 4.5}
+        price = PriceModel(np.array([1.0, 2.0, 4.0]), 0.5, np.zeros(3), -20.0)
+        env = env_over(reqs, price, 87)
+        obs = env.reset(0.0, 300)
+        while not env.done:
+            out = env.step(0.0)
+            assert out.price == pytest.approx(want[tuple(obs.request.indices)], abs=1e-6)
+            obs = out.observation
+
+
+class TestPriceSampling:
+    def test_sigma_zero_returns_mu(self):
+        env = flat_price_env(31, 7.0, np.exp(-20.0))
+        env.reset(0.0, 1)
+        assert env.step(0.0).price == pytest.approx(7.0, abs=1e-6)
+
+    def test_negative_mean_clips_to_zero(self):
+        env = flat_price_env(32, -5.0, 0.01)
+        env.reset(0.0, 20)
+        assert all(env.step(0.0).price == 0.0 for _ in range(20))
+
+    def test_clipped_mean_quadrature_oracle(self):
+        mu, sig = 8.0, 12.0
+        env = flat_price_env(33, mu, sig)
+        env.reset(0.0, 100_000)
+        draws = np.array([env.step(0.0).price for _ in range(100_000)])
+        expected, _ = integrate.quad(
+            lambda v: v * norm.pdf(v, mu, sig), 0.0, mu + 12 * sig
+        )
+        se = draws.std() / np.sqrt(draws.size)
+        assert abs(draws.mean() - expected) < 3 * se
+
+
+class TestClickDraws:
+    def test_click_extremes_and_rate(self):
+        never = ClickModel(np.zeros(2), -50.0)
+        for i in range(20):
+            env = flat_price_env(43, 1.0, 1e-9, label=str(i), utility="click",
+                                 click_model=never)
+            env.reset(1e9, 20)
+            assert all(env.step(10.0).reward == 0 for _ in range(20))
+        fair = ClickModel(np.zeros(2), 0.0)
+        env = flat_price_env(44, 1.0, 1e-9, label="rate", utility="click",
+                             click_model=fair)
+        env.reset(1e9, 100_000)
+        rate = np.mean([env.step(10.0).reward for _ in range(100_000)])
+        assert abs(rate - 0.5) < 0.01
+
+    def test_click_deterministic_given_stream(self):
+        model = ClickModel(np.zeros(2), 0.3)
+        runs = []
+        for _ in range(2):
+            env = flat_price_env(45, 1.0, 1e-9, label="d", utility="click",
+                                 click_model=model)
+            env.reset(1e9, 10)
+            runs.append([env.step(10.0).reward for _ in range(10)])
+        assert runs[0] == runs[1]
 
 
 class TestWiring:

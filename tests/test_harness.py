@@ -7,7 +7,8 @@ from rtblab import checkpoint as ckpt
 from rtblab.agents import ActionGrid, QNetwork, q_forward
 from rtblab.cli import main as cli_main
 from rtblab.config import cfg_floats, cfg_int, config_lines, effective_config
-from rtblab.data import BidRequest, PackedRequests
+from rtblab.autodiff import DimensionError
+from rtblab.data import BidRequest, PackedRequests, PriceHistogram
 from rtblab.errors import ConfigError, DataError
 from rtblab.evaluate import (
     ResultRow,
@@ -136,6 +137,14 @@ class TestCheckpointContainer:
         p.write_bytes(b"rtbckpt 99\n{}\n")
         with pytest.raises(DataError):
             ckpt.load_checkpoint(p)
+
+    def test_histogram_hash_describes_histogram(self):
+        a = PriceHistogram(np.array([0.25, 0.5, 0.25]))
+        b = PriceHistogram(np.array([0.5, 0.25, 0.25]))
+        assert ckpt.hash_histogram(a) == ckpt.hash_histogram(
+            PriceHistogram(np.array([0.25, 0.5, 0.25])))
+        assert ckpt.hash_histogram(a) != ckpt.hash_histogram(b)
+        assert ckpt.hash_histogram(a) != ckpt.hash_histogram(PriceHistogram(np.zeros(0)))
 
     def test_qnet_agent_replay_oracle(self, tmp_path):
         # a fresh process (simulated by reload) reproduces q outputs exactly
@@ -371,6 +380,14 @@ class TestEvaluatePolicy:
 
         res = evaluate_policy(self.factory(), BadAgent(), 10.0, 20, 3)
         assert res.aborted == 3 and res.totals == []
+
+    def test_agent_errors_propagate(self):
+        class ShapeBugAgent:
+            def bid(self, obs):
+                raise DimensionError("bad input width")
+
+        with pytest.raises(DimensionError):
+            evaluate_policy(self.factory(), ShapeBugAgent(), 10.0, 20, 3)
 
     def test_budget_sweep_reward_pct_monotone(self):
         from rtblab.agents import ConstantBidAgent

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.stats import norm
 
 from rtblab.data import BidRequest, PackedRequests, SampleSet
@@ -14,8 +13,6 @@ from rtblab.market_action import (
     average_ctr,
     censored_nll,
     click_nll,
-    sample_click,
-    sample_market_price,
     train_click_model,
     train_price_model,
 )
@@ -182,30 +179,6 @@ class TestPriceTraining:
             train_price_model(lost, lost, stream(1, "x"), self.CFG)
 
 
-class TestPriceSampling:
-    def test_sigma_zero_returns_mu(self):
-        model = flat_model(2, mu_b=7.0, logsig_b=-20.0)
-        x = BidRequest(np.array([0]), 2)
-        assert sample_market_price(model, x, stream(31, "p")) == pytest.approx(7.0, abs=1e-6)
-
-    def test_negative_mean_clips_to_zero(self):
-        model = flat_model(2, mu_b=-5.0, logsig_b=float(np.log(0.01)))
-        x = BidRequest(np.array([0]), 2)
-        assert sample_market_price(model, x, stream(32, "p")) == 0.0
-
-    def test_clipped_mean_quadrature_oracle(self):
-        mu, sig = 8.0, 12.0
-        model = flat_model(2, mu_b=mu, logsig_b=float(np.log(sig)))
-        x = BidRequest(np.array([0]), 2)
-        rng = stream(33, "p")
-        draws = np.array([sample_market_price(model, x, rng) for _ in range(100_000)])
-        expected, _ = integrate.quad(
-            lambda v: v * norm.pdf(v, mu, sig), 0.0, mu + 12 * sig
-        )
-        se = draws.std() / np.sqrt(draws.size)
-        assert abs(draws.mean() - expected) < 3 * se
-
-
 class TestClickModel:
     def test_zero_model_nll_is_log2(self):
         packed = PackedRequests(onehot_requests([0, 1], 2))
@@ -257,22 +230,6 @@ class TestClickModel:
             model, info = train_click_model(samples, samples, stream(42, "c"))
         assert info.get("prior_only")
         assert float(model.prob(PackedRequests(reqs))[0]) < 0.05
-
-    def test_sample_click_extremes_and_rate(self):
-        x = BidRequest(np.array([0]), 2)
-        never = ClickModel(np.zeros(2), -50.0)
-        assert all(sample_click(never, x, stream(43, str(i))) == 0 for i in range(20))
-        fair = ClickModel(np.zeros(2), 0.0)
-        rng = stream(44, "rate")
-        rate = np.mean([sample_click(fair, x, rng) for _ in range(100_000)])
-        assert abs(rate - 0.5) < 0.01
-
-    def test_sample_click_deterministic_given_stream(self):
-        x = BidRequest(np.array([1]), 2)
-        model = ClickModel(np.zeros(2), 0.3)
-        a = [sample_click(model, x, stream(45, "d")) for _ in range(10)]
-        b = [sample_click(model, x, stream(45, "d")) for _ in range(10)]
-        assert a == b
 
     def test_average_ctr(self):
         model = ClickModel(np.array([10.0, -10.0]), 0.0)

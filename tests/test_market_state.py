@@ -264,27 +264,40 @@ class TestSamplers:
     def test_empirical_single_record(self):
         req = BidRequest(np.array([0, 2]), 4)
         sampler = EmpiricalSampler([req], stream(64, "emp"))
-        assert all(sampler.sample() == req for _ in range(10))
+        assert all(r == req for r in sampler.sample_batch(10))
 
     def test_empirical_frequencies(self):
         reqs = [BidRequest(np.array([i]), 3) for i in range(3)]
         corpus = [reqs[0]] * 6 + [reqs[1]] * 3 + [reqs[2]] * 1
         sampler = EmpiricalSampler(corpus, stream(65, "emp"))
-        draws = np.array([sampler.sample().indices[0] for _ in range(100_000)])
+        draws = np.array([r.indices[0] for r in sampler.sample_batch(100_000)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.all(np.abs(freqs - [0.6, 0.3, 0.1]) < 0.01)
 
     def test_empirical_seed_determinism(self):
         reqs = [BidRequest(np.array([i]), 5) for i in range(5)]
-        a = [EmpiricalSampler(reqs, stream(66, "e")).sample().indices[0] for _ in range(1)]
-        b = [EmpiricalSampler(reqs, stream(66, "e")).sample().indices[0] for _ in range(1)]
+        a = EmpiricalSampler(reqs, stream(66, "e")).sample_batch(20)
+        b = EmpiricalSampler(reqs, stream(66, "e")).sample_batch(20)
         assert a == b
 
     def test_uniform_sampler_stays_in_blocks(self):
         fdict = toy_fdict()
         sampler = UniformSampler(fdict, stream(67, "u"))
-        for _ in range(50):
-            req = sampler.sample()
+        for req in sampler.sample_batch(50):
             assert len(req.indices) == len(fdict.fields)
             for (lo, hi), j in zip(sampler.slices, req.indices):
                 assert lo <= j < hi
+
+    def test_uniform_sampler_covers_every_category(self):
+        fdict = toy_fdict()
+        reqs = UniformSampler(fdict, stream(68, "u")).sample_batch(2000)
+        seen = np.unique(np.concatenate([r.indices for r in reqs]))
+        assert np.array_equal(seen, np.arange(fdict.width))
+
+    def test_generator_batch_matches_indices(self):
+        gen = build_generator(toy_fdict(), TOY_CFG, stream(69, "init"))
+        reqs = GeneratorSampler(gen, 0.667, stream(69, "s")).sample_batch(25)
+        idx = GeneratorSampler(gen, 0.667, stream(69, "s")).sample_indices(25)
+        assert len(reqs) == 25
+        assert all(r.width == gen.width for r in reqs)
+        assert np.array_equal(np.stack([r.indices for r in reqs]), idx)
