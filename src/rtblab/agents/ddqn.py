@@ -71,7 +71,6 @@ class DdqnConfig:
     n_actions: int = 20
     shared_width: int = 128
     branch_width: int = 64
-    log_every: int = 5000
 
 
 @dataclass

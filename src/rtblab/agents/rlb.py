@@ -30,33 +30,52 @@ def rlb_dp_solve(m: PriceHistogram, horizon: int, max_budget: int,
 
     V[t][b] = max_a  sum_{d < a, d <= b} m(d) (1 + V[t-1][b-d])
               + (1 - sum_{d < a, d <= b} m(d)) V[t-1][b]
+
+    Every action's win sum is a prefix over d of one shared sum, so each
+    t sweeps the prices once and scores action a when the sweep reaches
+    its top price: O(T·D·B) for D prices and B budgets, not O(T·k·D·B)
+    for k actions. The losing mass does not depend on t and is computed
+    once. No budget b <= B pays a price above B, so the sweep ends there.
     """
     probs = m.probs
     if probs.size == 0 or abs(probs.sum() - 1.0) > 1e-9:
         raise ConfigError("price histogram must be normalized")
     T, B = int(horizon), int(max_budget)
+    if T < 1:
+        raise ConfigError(f"rlb horizon must be at least 1, got {T}")
+    if B < 0:
+        raise ConfigError(f"rlb budget grid must be non-negative, got {B}")
     k = len(grid)
-    d_top = np.minimum(np.ceil(grid.values).astype(np.int64) - 1, probs.size - 1)
+    # highest price each action can win (-1: none); non-decreasing like the grid
+    d_top = np.clip(np.ceil(grid.values).astype(np.int64) - 1, -1,
+                    min(probs.size - 1, B))
+    # lose[j + 1] = 1 - sum_{d <= j} m(d); a bid winning prices up to e
+    # loses lose[min(b, e) + 1] at budget b
+    lose = 1.0 - np.concatenate(([0.0], np.cumsum(probs[: d_top[-1] + 1])))
 
     value = np.zeros((T + 1, B + 1))
     policy = np.zeros((T + 1, B + 1), dtype=np.int32)
-    budgets = np.arange(B + 1)
     for t in range(1, T + 1):
         prev = value[t - 1]
-        cand = np.empty((k, B + 1))
+        gain = 1.0 + prev
+        best, arg = value[t], policy[t]
+        total = np.zeros(B + 1)   # sum over the swept d <= b of m(d) (1 + prev[b - d])
+        d = 0
         for ai in range(k):
-            dm = int(d_top[ai])
-            win_mass = np.zeros(B + 1)
-            total = np.zeros(B + 1)
-            for d in range(0, dm + 1):
+            e = d_top[ai]
+            while d <= e:
                 p = probs[d]
-                if p == 0.0:
-                    continue
-                total[d:] += p * (1.0 + prev[: B + 1 - d])
-                win_mass[d:] += p
-            cand[ai] = total + (1.0 - win_mass) * prev
-        policy[t] = np.argmax(cand, axis=0)  # first max = smallest bid
-        value[t] = cand[policy[t], budgets]
+                if p != 0.0:
+                    total[d:] += p * gain[: B + 1 - d]
+                d += 1
+            cand = total + lose[e + 1] * prev
+            cand[: e + 1] = total[: e + 1] + lose[1: e + 2] * prev[: e + 1]
+            if ai == 0:
+                best[:] = cand
+            else:
+                better = cand > best  # strict: a tie keeps the smaller bid
+                np.copyto(best, cand, where=better)
+                arg[better] = ai
     return DpTables(value, policy, T, B)
 
 

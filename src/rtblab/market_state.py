@@ -44,7 +44,6 @@ class WganConfig:
     stop_window: int = 50
     stop_tol: float = 1e-3
     stop_min_iters: int = 500
-    log_every: int = 50
 
     def __post_init__(self):
         for name in ("gp_lambda", "critic_steps", "batch_size", "tau", "lr",

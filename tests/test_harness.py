@@ -332,6 +332,23 @@ class TestCliPipeline:
         ] + self.quick_sets())
         assert code == 2
 
+    def test_solve_rlb_prices_above_budget_grid(self, workdir, tmp_path):
+        # horizon 1 at alpha 0.25 gives a budget grid of 20, below most train prices
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
+                         "--set", "rlb_horizon=1", "--set", "alphas=0.25"]) == 0
+        agent, _ = ckpt.load_agent(out)
+        assert agent.tables.max_budget == 20
+        assert np.all(agent.tables.value[1] <= 1.0)
+
+    @pytest.mark.parametrize("override", ["rlb_horizon=0", "alphas=-1"])
+    def test_solve_rlb_rejects_empty_horizon_and_negative_budget(self, workdir, tmp_path,
+                                                                 override):
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
+                         "--set", override]) == 2
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["stats", str(tmp_path / "nope")]) == 3
 

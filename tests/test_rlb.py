@@ -66,6 +66,33 @@ def enumerate_policies_value(probs, grid, T, b0):
     return best
 
 
+def per_action_dp(probs, T, B, grid_values):
+    """The per-action triple loop the sweep replaced: every action re-sums
+    its own prefix of the histogram at every t. Its price loop stops at B
+    (a price above B is never paid from a budget b <= B)."""
+    k = len(grid_values)
+    d_top = np.minimum(np.ceil(grid_values).astype(np.int64) - 1, probs.size - 1)
+    value = np.zeros((T + 1, B + 1))
+    policy = np.zeros((T + 1, B + 1), dtype=np.int32)
+    budgets = np.arange(B + 1)
+    for t in range(1, T + 1):
+        prev = value[t - 1]
+        cand = np.empty((k, B + 1))
+        for ai in range(k):
+            win_mass = np.zeros(B + 1)
+            total = np.zeros(B + 1)
+            for d in range(0, min(int(d_top[ai]), B) + 1):
+                p = probs[d]
+                if p == 0.0:
+                    continue
+                total[d:] += p * (1.0 + prev[: B + 1 - d])
+                win_mass[d:] += p
+            cand[ai] = total + (1.0 - win_mass) * prev
+        policy[t] = np.argmax(cand, axis=0)
+        value[t] = cand[policy[t], budgets]
+    return value, policy
+
+
 class TestDpSolve:
     def test_base_row_is_zero(self):
         m = PriceHistogram(np.array([0.5, 0.5]))
@@ -105,6 +132,48 @@ class TestDpSolve:
             tables = rlb_dp_solve(PriceHistogram(probs), T, B, ActionGrid(grid))
             want = recursive_value(probs, grid.tolist(), T, B)
             assert abs(tables.value[T, B] - want) < 1e-9
+
+    def test_bitwise_equal_to_per_action_loop(self):
+        rng = stream(92, "dp")
+        cases = set()
+        for i in range(300):
+            T = int(rng.integers(1, 6))
+            B = 0 if i % 10 == 0 else int(rng.integers(1, 12))
+            n_prices = int(rng.integers(1, 16))
+            probs = rng.dirichlet(np.ones(n_prices))
+            probs[rng.random(n_prices) < 0.3] = 0.0
+            if probs.sum() == 0.0:
+                probs[-1] = 1.0
+            probs /= probs.sum()
+            k = int(rng.integers(1, 8))
+            grid = np.unique(rng.uniform(-2.5, n_prices + B + 3, size=k))
+            tables = rlb_dp_solve(PriceHistogram(probs), T, B, ActionGrid(grid))
+            value, policy = per_action_dp(probs, T, B, grid)
+            assert np.array_equal(tables.value, value)
+            assert np.array_equal(tables.policy, policy)
+            cases.update(name for name, hit in (
+                ("zero-mass price", np.any(probs == 0.0)),
+                ("bid that wins nothing", grid[0] <= 0.0),
+                ("bid below -1", grid[0] < -1.0),
+                ("bid above B+1", grid[-1] > B + 1),
+                ("biddable price above B+1", np.any(probs[B + 2: int(np.ceil(grid[-1]))] > 0)),
+                ("B = 0", B == 0)) if hit)
+        assert len(cases) == 6
+
+    def test_price_above_budget_grid(self):
+        # prices 3..5 exceed every budget b <= 2 and can never be paid
+        probs = np.full(6, 1 / 6)
+        grid = [0.5, 5.5]
+        tables = rlb_dp_solve(PriceHistogram(probs), 2, 2, ActionGrid(grid))
+        for b in range(3):
+            assert tables.value[2, b] == pytest.approx(
+                recursive_value(probs, grid, 2, b), abs=1e-12)
+
+    @pytest.mark.parametrize("horizon, budget", [(0, 5), (-3, 5), (4, -1)])
+    def test_rejects_empty_horizon_and_negative_budget(self, horizon, budget):
+        with pytest.raises(ConfigError):
+            rlb_dp_solve(PriceHistogram(np.array([0.5, 0.5])), horizon, budget,
+                         ActionGrid([0.5, 1.5]))
 
     def test_value_monotone_in_time_and_budget(self):
         rng = stream(91, "dp")
