@@ -3,12 +3,13 @@
     python3 bench/rlb_dp.py --label after
     python3 bench/rlb_dp.py --label before --src OLD_CHECKOUT/src
 
-Each shape is solved --repeats times against one fixed 301-price
+Each shape is solved REPEATS times against one fixed 301-price
 histogram and a 20-action grid; the median, the fastest and every time
 go into BENCH_rlb_dp.json under --label, beside the labels already
-there, with the machine facts and a hash of the solved tables (equal
-hashes mean equal `value` and `policy`). --src picks the rtblab source
-tree to time, so an older checkout can be timed into the same file.
+there, with the facts of the machine that ran that label and a hash of
+the solved tables (equal hashes mean equal `value` and `policy`). --src
+picks the rtblab source tree to time, so an older checkout can be timed
+into the same file.
 """
 
 import os
@@ -33,6 +34,7 @@ import numpy as np  # noqa: E402
 SHAPES = ((30, 8828), (200, 2000))
 N_PRICES = 301
 N_ACTIONS = 20
+REPEATS = 5
 
 
 def histogram_and_grid():
@@ -45,16 +47,16 @@ def histogram_and_grid():
             ActionGrid.from_max_price(N_PRICES - 1, N_ACTIONS))
 
 
-def time_shape(m, grid, T, B, repeats) -> dict:
+def time_shape(m, grid, T, B) -> dict:
     from rtblab.agents import rlb_dp_solve
 
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         tables = rlb_dp_solve(m, T, B, grid)
         times.append(time.perf_counter() - start)
     digest = hashlib.sha256(tables.value.tobytes() + tables.policy.tobytes()).hexdigest()
-    return {"T": T, "B": B, "D": int(m.probs.size), "k": len(grid), "repeats": repeats,
+    return {"T": T, "B": B, "D": int(m.probs.size), "k": len(grid), "repeats": REPEATS,
             "median_s": statistics.median(times), "min_s": min(times), "times_s": times,
             "tables_sha256": digest}
 
@@ -63,12 +65,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--label", required=True)
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
 
     m, grid = histogram_and_grid()
-    shapes = [time_shape(m, grid, T, B, args.repeats) for T, B in SHAPES]
+    shapes = [time_shape(m, grid, T, B) for T, B in SHAPES]
     for s in shapes:
         print(f"{args.label}: T={s['T']} B={s['B']} D={s['D']} k={s['k']}  "
               f"median {s['median_s']:.3f} s  min {s['min_s']:.3f} s")
@@ -77,8 +78,7 @@ def main(argv=None) -> int:
     if os.path.exists(OUT):
         with open(OUT, "r", encoding="utf-8") as fh:
             result = json.load(fh)
-    result["machine"] = machine_facts()
-    result["runs"][args.label] = shapes
+    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes}
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
