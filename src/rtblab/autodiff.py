@@ -18,45 +18,36 @@ class DimensionError(ValueError):
     """Shape mismatch between parameters and data."""
 
 
-# activation, derivative, second derivative
+# activation; its derivative from (pre-activation, activation); its second
+# derivative from (activation, derivative), None where identically zero
 def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _relu_d(z):
+def _relu_d(z, a):
     return (z > 0.0).astype(np.float64)
 
 
-def _relu_dd(z):
-    return np.zeros_like(z)
+def _tanh_d(z, a):
+    return 1.0 - a * a
 
 
-def _tanh_d(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def _tanh_dd(z):
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
+def _tanh_dd(a, d):
+    return -2.0 * a * d
 
 
 def _ident(z):
     return z
 
 
-def _one(z):
+def _one(z, a):
     return np.ones_like(z)
 
 
-def _zero(z):
-    return np.zeros_like(z)
-
-
 ACTIVATIONS = {
-    "relu": (_relu, _relu_d, _relu_dd),
+    "relu": (_relu, _relu_d, None),
     "tanh": (np.tanh, _tanh_d, _tanh_dd),
-    "identity": (_ident, _one, _zero),
+    "identity": (_ident, _one, None),
 }
 
 
@@ -110,12 +101,13 @@ class Mlp:
 
 @dataclass
 class MlpTrace:
-    """Per-layer pre-activations and activations recorded during forward."""
+    """Per-layer values recorded during forward for the backward passes."""
 
     params: Mlp
     inputs: np.ndarray        # (n, d_in)
     zs: list                  # pre-activations per layer
     acts: list                # activations per layer (post-activation)
+    ds: list                  # activation derivatives per layer, at zs
     squeeze: bool             # input was 1-D
 
 
@@ -134,29 +126,35 @@ def mlp_forward(params: Mlp, x, record: bool = False):
     Returns the output, or (output, trace) when record is set. A 1-D
     input yields a 1-D output.
     """
-    a, squeeze = _as_batch(x)
-    if a.shape[1] != params.in_dim:
+    x, squeeze = _as_batch(x)
+    if x.shape[1] != params.in_dim:
         raise DimensionError(
-            f"input dim {a.shape[1]} does not match first layer ({params.in_dim})"
+            f"input dim {x.shape[1]} does not match first layer ({params.in_dim})"
         )
-    zs, acts = [], []
+    a = x
+    zs, acts, ds = [], [], []
     for lay in params.layers:
-        z = a @ lay.w + lay.b
-        a = ACTIVATIONS[lay.act][0](z)
+        z = a @ lay.w
+        z += lay.b
+        fn, dfn, _ = ACTIVATIONS[lay.act]
+        a = fn(z)
         if record:
             zs.append(z)
             acts.append(a)
+            ds.append(dfn(z, a))
     out = a[0] if squeeze else a
     if record:
-        return out, MlpTrace(params, _as_batch(x)[0], zs, acts, squeeze)
+        return out, MlpTrace(params, x, zs, acts, ds, squeeze)
     return out
 
 
-def mlp_backward(trace: MlpTrace, seed) -> tuple:
+def mlp_backward(trace: MlpTrace, seed, param_rows: slice = slice(None)) -> tuple:
     """Pull an output seed back to parameter and input gradients.
 
     Computes d(sum(seed * output))/d(each w, b) and d/d(input).
     Returns (grads, dinput) with grads as [dw1, db1, dw2, db2, ...].
+    The parameter gradients take only the `param_rows` share of the
+    seed; dinput covers every row.
     """
     if not isinstance(trace, MlpTrace) or not trace.zs:
         raise ValueError("backward needs a trace recorded by mlp_forward(record=True)")
@@ -167,124 +165,119 @@ def mlp_backward(trace: MlpTrace, seed) -> tuple:
             f"seed shape {s.shape} does not match output {trace.acts[-1].shape}"
         )
     grads = [None] * (2 * len(params.layers))
-    d = s * ACTIVATIONS[params.layers[-1].act][1](trace.zs[-1])
+    d = s * trace.ds[-1]
     for k in range(len(params.layers) - 1, -1, -1):
-        lay = params.layers[k]
         a_prev = trace.inputs if k == 0 else trace.acts[k - 1]
-        grads[2 * k] = a_prev.T @ d
-        grads[2 * k + 1] = d.sum(axis=0)
-        e = d @ lay.w.T
+        d_p = d[param_rows]
+        grads[2 * k] = a_prev[param_rows].T @ d_p
+        grads[2 * k + 1] = d_p.sum(axis=0)
+        e = d @ params.layers[k].w.T
         if k > 0:
-            d = e * ACTIVATIONS[params.layers[k - 1].act][1](trace.zs[k - 1])
+            d = e * trace.ds[k - 1]
     dinput = e[0] if trace.squeeze else e
     return grads, dinput
 
 
-def _penalty_batch(params: Mlp, x_hat: np.ndarray) -> tuple:
-    """Mean (||grad_x c(x)||_2 - 1)^2 over rows, with its parameter gradient.
+def gradient_penalty(params: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tuple:
+    """Mean (||grad_x c(x)||_2 - 1)^2 over the rows of x_hat, with its
+    parameter gradient: (mean penalty, parameter grads, per-row norms).
+
+    A caller that has already run the critic passes the forward `trace`,
+    whose last rows are x_hat, and the input gradient `g` of those rows
+    under a unit seed; otherwise both are computed here.
 
     The parameter gradient is forward-over-reverse: the input-tangent
     v_i = (2(n_i-1)/n_i) g_i / N is pushed through the forward pass and
     then through the backward recurrence with dual numbers, so the
     tangent of each parameter gradient accumulates exactly
-    d/d(params) of the mean penalty.
+    d/d(params) of the mean penalty. Only the x_hat rows of the trace
+    enter, and a second-derivative term is skipped where the
+    activation's second derivative is identically zero.
     """
     if params.out_dim != 1:
         raise DimensionError("gradient penalty needs a scalar-output network")
-    x, _ = _as_batch(x_hat)
+    x = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
     if x.shape[1] != params.in_dim:
         raise DimensionError(
             f"input dim {x.shape[1]} does not match critic ({params.in_dim})"
         )
+    if trace is None:
+        out, trace = mlp_forward(params, x, record=True)
+        _, g = mlp_backward(trace, np.ones_like(out))
     n_rows = x.shape[0]
+    lo = trace.inputs.shape[0] - n_rows
     layers = params.layers
+    ins = [trace.inputs[lo:]] + [a[lo:] for a in trace.acts[:-1]]
+    acts = [a[lo:] for a in trace.acts]
+    ds = [d[lo:] for d in trace.ds]
 
-    # primal forward + backward for the input gradient g
-    out, trace = mlp_forward(params, x, record=True)
-    _, g = mlp_backward(trace, np.ones_like(out))
     norms = np.sqrt(np.sum(g * g, axis=1))
     penalty = float(np.mean((norms - 1.0) ** 2))
-
     safe = np.maximum(norms, 1e-12)
     v = (2.0 * (norms - 1.0) / safe / n_rows)[:, None] * g
 
     # forward tangent pass seeded with v
-    a, adot = x, v
+    adot = v
     zdots, adots_prev = [], []
-    for k, lay in enumerate(layers):
+    for lay, dk in zip(layers, ds):
         adots_prev.append(adot)
         zdot = adot @ lay.w
         zdots.append(zdot)
-        adot = ACTIVATIONS[lay.act][1](trace.zs[k]) * zdot
+        adot = dk * zdot
 
-    # backward tangent pass; primal seed is 1 with zero tangent
+    # backward tangent pass; primal seed is 1 with zero tangent. ddot is
+    # None while the tangent of the backward signal is identically zero.
+    def second_term(k, e):
+        dd = ACTIVATIONS[layers[k].act][2]
+        return None if dd is None else e * dd(acts[k], ds[k]) * zdots[k]
+
     grads = [None] * (2 * len(layers))
-    act1 = ACTIVATIONS[layers[-1].act][1](trace.zs[-1])
-    act2 = ACTIVATIONS[layers[-1].act][2](trace.zs[-1])
-    d = act1.copy()
-    ddot = act2 * zdots[-1]
+    d = ds[-1]
+    ddot = second_term(len(layers) - 1, 1.0)
     for k in range(len(layers) - 1, -1, -1):
         lay = layers[k]
-        a_prev = x if k == 0 else trace.acts[k - 1]
-        grads[2 * k] = adots_prev[k].T @ d + a_prev.T @ ddot
-        grads[2 * k + 1] = ddot.sum(axis=0)
+        grads[2 * k] = adots_prev[k].T @ d
+        if ddot is None:
+            grads[2 * k + 1] = np.zeros_like(lay.b)
+        else:
+            grads[2 * k] += ins[k].T @ ddot
+            grads[2 * k + 1] = ddot.sum(axis=0)
+        if k == 0:
+            break
         e = d @ lay.w.T
-        edot = ddot @ lay.w.T
-        if k > 0:
-            act1 = ACTIVATIONS[layers[k - 1].act][1](trace.zs[k - 1])
-            act2 = ACTIVATIONS[layers[k - 1].act][2](trace.zs[k - 1])
-            d = e * act1
-            ddot = edot * act1 + e * act2 * zdots[k - 1]
+        d = e * ds[k - 1]
+        ddot = None if ddot is None else (ddot @ lay.w.T) * ds[k - 1]
+        second = second_term(k - 1, e)
+        if second is not None:
+            ddot = second if ddot is None else ddot + second
     return penalty, grads, norms
 
 
-def gradient_penalty(params: Mlp, x_hat: np.ndarray) -> tuple:
-    """Batched penalty: (mean penalty, parameter grads, per-row norms)."""
-    return _penalty_batch(params, np.atleast_2d(np.asarray(x_hat, dtype=np.float64)))
+def _block_widths(starts, width: int) -> list:
+    return [hi - lo for lo, hi in zip(starts, (*starts[1:], width))]
 
 
-def input_gradient_norm_grad(params: Mlp, x_hat) -> tuple:
-    """Penalty term for one point: (||grad_x c||, d(||grad_x c||-1)^2 / d params)."""
-    penalty, grads, norms = _penalty_batch(
-        params, np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
-    )
-    del penalty
-    return float(norms[0]), grads
+def gumbel_softmax(logits, tau: float, noise, starts=(0,)) -> np.ndarray:
+    """Relaxed categorical samples softmax((logits + noise) / tau), one per block.
 
-
-def gumbel_softmax(logits, tau: float, noise) -> np.ndarray:
-    """Relaxed categorical sample softmax((logits + noise) / tau).
-
-    `noise` must be standard Gumbel draws of the same shape. Output rows
-    are simplex points; tau -> 0 approaches one-hot at argmax(logits+noise).
+    The last axis is cut into contiguous, non-empty blocks that begin at
+    `starts` (by default one block), and each block of each row is a
+    separate softmax. `noise` must be standard Gumbel draws of the same
+    shape. Each block is a simplex point; tau -> 0 approaches one-hot at
+    the block's argmax(logits+noise).
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     u = (np.asarray(logits, dtype=np.float64) + np.asarray(noise, dtype=np.float64)) / tau
-    u = u - u.max(axis=-1, keepdims=True)
+    widths = _block_widths(starts, u.shape[-1])
+    u = u - np.repeat(np.maximum.reduceat(u, starts, axis=-1), widths, axis=-1)
     e = np.exp(u)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.repeat(np.add.reduceat(e, starts, axis=-1), widths, axis=-1)
 
 
-def gumbel_softmax_vjp(y: np.ndarray, seed: np.ndarray, tau: float) -> np.ndarray:
-    """Backward of gumbel_softmax with respect to the logits."""
-    inner = (seed * y).sum(axis=-1, keepdims=True)
-    return y * (seed - inner) / tau
-
-
-def hard_onehot(y: np.ndarray) -> np.ndarray:
-    """Exact one-hot at the argmax of each row of a relaxed sample."""
-    y = np.atleast_2d(y)
-    out = np.zeros_like(y)
-    out[np.arange(y.shape[0]), np.argmax(y, axis=-1)] = 1.0
-    return out
-
-
-def zero_grads_like(arrays: list) -> list:
-    return [np.zeros_like(a) for a in arrays]
-
-
-def add_scaled(dst: list, src: list, scale: float = 1.0) -> None:
-    """dst += scale * src, elementwise over matching array lists."""
-    for d, s in zip(dst, src):
-        d += scale * s
+def gumbel_softmax_vjp(y: np.ndarray, seed: np.ndarray, tau: float,
+                       starts=(0,)) -> np.ndarray:
+    """Backward of gumbel_softmax with respect to the logits, per block."""
+    widths = _block_widths(starts, y.shape[-1])
+    inner = np.add.reduceat(seed * y, starts, axis=-1)
+    return y * (seed - np.repeat(inner, widths, axis=-1)) / tau

@@ -1,6 +1,9 @@
 """Checkpoint container: a one-line JSON manifest followed by named
-float64 little-endian array blobs, with an integrity hash over the
-payload. Round trips are bit-exact.
+little-endian array blobs, with an integrity hash over the payload.
+Integer arrays are stored as int32 ("<i4") and all others as float64
+("<f8"); each directory entry names its dtype, and an entry without one
+(written before dtypes were recorded) is float64. Round trips are
+bit-exact.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ from .market_action import ClickModel, PriceModel
 from .market_state import Generator
 
 MAGIC = "rtbckpt 1"
+DTYPES = ("<f8", "<i4")
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict) -> None:
@@ -22,9 +26,16 @@ def save_checkpoint(path, manifest: dict, arrays: dict) -> None:
     directory = []
     payload = bytearray()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
-        directory.append({"name": name, "shape": list(arr.shape)})
-        payload.extend(arr.astype("<f8").tobytes())
+        arr = np.asarray(arrays[name])
+        if np.issubdtype(arr.dtype, np.integer):
+            info = np.iinfo(np.int32)
+            if arr.size and (arr.min() < info.min or arr.max() > info.max):
+                raise ValueError(f"array {name!r} does not fit in int32")
+            dtype = "<i4"
+        else:
+            dtype = "<f8"
+        directory.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
+        payload.extend(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     head = dict(manifest)
     head["arrays"] = directory
     head["sha256"] = hashlib.sha256(bytes(payload)).hexdigest()
@@ -50,10 +61,13 @@ def load_checkpoint(path):
     arrays = {}
     offset = 0
     for entry in head["arrays"]:
+        dtype = entry.get("dtype", "<f8")
+        if dtype not in DTYPES:
+            raise DataError(f"{path}: unknown array dtype {dtype!r}")
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * 8
+        nbytes = count * np.dtype(dtype).itemsize
         arrays[entry["name"]] = np.frombuffer(
-            payload[offset : offset + nbytes], dtype="<f8"
+            payload[offset : offset + nbytes], dtype=dtype
         ).reshape(entry["shape"]).copy()
         offset += nbytes
     manifest = {k: v for k, v in head.items() if k not in ("arrays", "sha256")}
@@ -245,7 +259,7 @@ def save_rlb_agent(path, tables, grid_values, m_hash: str, split: str,
     }
     arrays = {
         "value": tables.value,
-        "policy": tables.policy.astype(np.float64),  # container is float64-only
+        "policy": tables.policy,
         "grid": grid_values,
     }
     save_checkpoint(path, manifest, arrays)

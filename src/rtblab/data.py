@@ -638,9 +638,12 @@ class PackedRequests:
             out.idx = out.ptr = out.filled = None
         else:
             out.mat = None
-            segs = [self.idx[self.ptr[i] : self.ptr[i + 1]] for i in ids]
-            out.idx = np.concatenate(segs)
-            out._set_ptr(np.array([s.size for s in segs]))
+            starts = self.ptr[ids]
+            counts = self.ptr[np.asarray(ids) + 1] - starts
+            out._set_ptr(counts)
+            # entry j of picked row i sits at starts[i] + j in self.idx
+            shift = np.repeat(starts - out.ptr[:-1], counts)
+            out.idx = self.idx[shift + np.arange(out.ptr[-1])]
         return out
 
     def dense(self) -> np.ndarray:
@@ -648,8 +651,7 @@ class PackedRequests:
         if self.mat is not None:
             np.put_along_axis(out, self.mat, 1.0, axis=1)
         else:
-            for i in range(len(self)):
-                out[i, self.idx[self.ptr[i] : self.ptr[i + 1]]] = 1.0
+            out[np.repeat(np.arange(len(self)), np.diff(self.ptr)), self.idx] = 1.0
         return out
 
 

@@ -20,7 +20,6 @@ from .autodiff import (
     gumbel_softmax_vjp,
     mlp_backward,
     mlp_forward,
-    zero_grads_like,
 )
 from .data import BidRequest, FeatureDict
 from .errors import ConfigError, NumericalError
@@ -69,6 +68,10 @@ class Generator:
     def width(self) -> int:
         return self.net.out_dim
 
+    @property
+    def starts(self) -> tuple:
+        return tuple(lo for lo, _ in self.slices)
+
     def copy(self) -> "Generator":
         return Generator(self.net.copy(), self.slices, self.z_dim)
 
@@ -93,37 +96,21 @@ def build_critic(width: int, cfg: WganConfig, rng) -> Mlp:
 
 def generator_forward(gen: Generator, z: np.ndarray, tau: float, noise: np.ndarray,
                       record: bool = False):
-    """Soft samples: per-field Gumbel-softmax over the head logits."""
+    """Soft samples: one segmented Gumbel-softmax over the head logits."""
     z = np.atleast_2d(z)
     if z.shape[1] != gen.z_dim:
         raise ConfigError(f"noise dim {z.shape[1]} != generator z dim {gen.z_dim}")
     out = mlp_forward(gen.net, z, record=record)
     logits, trace = out if record else (out, None)
-    x = np.empty_like(logits)
-    for lo, hi in gen.slices:
-        x[:, lo:hi] = gumbel_softmax(logits[:, lo:hi], tau, noise[:, lo:hi])
+    x = gumbel_softmax(logits, tau, noise, gen.starts)
     return (x, trace) if record else x
 
 
 def _soft_seed_to_gen_grads(gen, trace, x_soft, seed, tau):
     """Pull a seed on the soft sample back to generator parameter grads."""
-    dlogits = np.empty_like(seed)
-    for lo, hi in gen.slices:
-        dlogits[:, lo:hi] = gumbel_softmax_vjp(x_soft[:, lo:hi], seed[:, lo:hi], tau)
+    dlogits = gumbel_softmax_vjp(x_soft, seed, tau, gen.starts)
     grads, _ = mlp_backward(trace, dlogits)
     return grads
-
-
-def generator_sample(gen: Generator, z, tau, noise, hard: bool = True):
-    """One-hot (hard) or simplex (soft) request vectors."""
-    x = generator_forward(gen, z, tau, noise)
-    if not hard:
-        return x
-    out = np.zeros_like(x)
-    rows = np.arange(x.shape[0])
-    for lo, hi in gen.slices:
-        out[rows, lo + np.argmax(x[:, lo:hi], axis=1)] = 1.0
-    return out
 
 
 class GeneratorSampler:
@@ -133,7 +120,6 @@ class GeneratorSampler:
         self.gen = gen
         self.tau = tau
         self.rng = rng
-        self._offsets = np.array([lo for lo, _ in gen.slices])
 
     def sample_indices(self, n: int) -> np.ndarray:
         z = self.rng.standard_normal((n, self.gen.z_dim))
@@ -182,30 +168,37 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
     Descending it maximizes the real-fake score gap. The penalty is
     evaluated at per-pair uniform interpolates of (real, fake).
     Returns (loss, grads, parts) where parts carries the raw pieces.
+
+    One forward runs over the stacked [real; fake; interpolates]. One
+    backward then gives the Wasserstein parameter gradient, contracted
+    over the real and fake rows only, and the input gradient at the
+    interpolates, from which gradient_penalty takes its tangent pass.
     """
     real = np.atleast_2d(real)
     fake = np.atleast_2d(fake)
     if real.shape[1] != fake.shape[1]:
         raise ConfigError("real and fake batches must share the feature width")
     n_r, n_f = real.shape[0], fake.shape[0]
+    n = n_r + n_f
 
-    s_real, tr_real = mlp_forward(critic, real, record=True)
-    s_fake, tr_fake = mlp_forward(critic, fake, record=True)
-    mean_real = float(s_real.mean())
-    mean_fake = float(s_fake.mean())
-
-    grads = zero_grads_like(critic.arrays())
-    g_fake, _ = mlp_backward(tr_fake, np.full((n_f, 1), 1.0 / n_f))
-    g_real, _ = mlp_backward(tr_real, np.full((n_r, 1), -1.0 / n_r))
-    for acc, gf, gr in zip(grads, g_fake, g_real):
-        acc += gf + gr
-
-    penalty = 0.0
+    batches = [real, fake]
     if gp_lambda > 0.0:
         m = min(n_r, n_f)
         t = rng.random((m, 1))
         x_hat = t * real[:m] + (1.0 - t) * fake[:m]
-        penalty, p_grads, _ = gradient_penalty(critic, x_hat)
+        batches.append(x_hat)
+    scores, trace = mlp_forward(critic, np.concatenate(batches), record=True)
+    mean_real = float(scores[:n_r].mean())
+    mean_fake = float(scores[n_r:n].mean())
+
+    seed = np.ones_like(scores)
+    seed[:n_r] = -1.0 / n_r
+    seed[n_r:n] = 1.0 / n_f
+    grads, dinput = mlp_backward(trace, seed, param_rows=slice(0, n))
+
+    penalty = 0.0
+    if gp_lambda > 0.0:
+        penalty, p_grads, _ = gradient_penalty(critic, x_hat, trace, dinput[n:])
         for acc, pg in zip(grads, p_grads):
             acc += gp_lambda * pg
 
@@ -286,8 +279,8 @@ def train_market_state_model(train_requests, val_requests, fdict: FeatureDict,
         adam_step(gen.net.arrays(), g_grads, g_state, lr=cfg.lr, weight_decay=cfg.l2)
 
         val_fake = generator_forward(gen, val_z, cfg.tau, val_noise)
-        gap = float(mlp_forward(critic, val_real).mean()
-                    - mlp_forward(critic, val_fake).mean())
+        val_scores = mlp_forward(critic, np.concatenate([val_real, val_fake]))
+        gap = float(val_scores[: v_rows.size].mean() - val_scores[v_rows.size :].mean())
         diag.gaps.append(gap)
         diag.critic_losses.append(c_loss)
         diag.gen_losses.append(g_loss)

@@ -8,8 +8,6 @@ from rtblab.autodiff import (
     gradient_penalty,
     gumbel_softmax,
     gumbel_softmax_vjp,
-    hard_onehot,
-    input_gradient_norm_grad,
     mlp_backward,
     mlp_forward,
 )
@@ -121,8 +119,8 @@ class TestGradientPenalty:
     def test_unit_norm_linear_critic_is_free(self):
         v = np.array([0.6, 0.8])  # ||v|| = 1
         net = Mlp([DenseLayer(v[:, None], np.zeros(1), "identity")])
-        norm, grads = input_gradient_norm_grad(net, np.array([0.3, -1.2]))
-        assert abs(norm - 1.0) < 1e-12
+        _, grads, norms = gradient_penalty(net, np.array([0.3, -1.2]))
+        assert abs(norms[0] - 1.0) < 1e-12
         assert all(np.max(np.abs(g)) < 1e-12 for g in grads)
 
     def test_linear_1d_closed_form(self):
@@ -177,16 +175,6 @@ class TestGumbelSoftmax:
             assert np.all(y >= 0.0)
             assert np.max(np.abs(y.sum(axis=-1) - 1.0)) <= 1e-12
 
-    def test_gumbel_max_monte_carlo(self):
-        # uniform categorical over 4, hard argmax of the relaxed draw
-        rng = stream(14, "gs-mc")
-        n = 100_000
-        logits = np.zeros((n, 4))
-        y = gumbel_softmax(logits, 0.5, gumbel(rng, (n, 4)))
-        hard = hard_onehot(y)
-        freqs = hard.mean(axis=0)
-        assert np.all(np.abs(freqs - 0.25) < 0.01)
-
     def test_vjp_matches_finite_differences(self):
         rng = stream(15, "gs-vjp")
         logits = rng.normal(size=(3, 5))
@@ -200,6 +188,48 @@ class TestGumbelSoftmax:
         fd = finite_diff_grads(loss, [logits])[0]
         y = gumbel_softmax(logits, tau, noise)
         g = gumbel_softmax_vjp(y, seed, tau)
+        assert np.max(scaled_err(g, fd)) < 1e-6
+
+    @staticmethod
+    def random_blocks(rng):
+        """Block starts over random widths 1-9, with at least one width-1 block."""
+        widths = rng.integers(1, 10, size=int(rng.integers(1, 8)))
+        widths[rng.integers(widths.size)] = 1
+        return tuple(int(s) for s in np.cumsum(widths) - widths), int(widths.sum())
+
+    def test_segmented_matches_per_block(self):
+        rng = stream(19, "gs-seg")
+        for _ in range(50):
+            starts, width = self.random_blocks(rng)
+            tau = float(rng.uniform(0.1, 2.0))
+            logits = rng.normal(scale=3, size=(7, width))
+            noise = gumbel(rng, (7, width))
+            seed = rng.normal(size=(7, width))
+            y = gumbel_softmax(logits, tau, noise, starts)
+            g = gumbel_softmax_vjp(y, seed, tau, starts)
+            for lo, hi in zip(starts, (*starts[1:], width)):
+                u = (logits[:, lo:hi] + noise[:, lo:hi]) / tau
+                e = np.exp(u - u.max(axis=1, keepdims=True))
+                yb = e / e.sum(axis=1, keepdims=True)
+                sb = seed[:, lo:hi]
+                gb = yb * (sb - (sb * yb).sum(axis=1, keepdims=True)) / tau
+                assert np.max(np.abs(y[:, lo:hi] - yb)) <= 1e-15
+                assert np.max(scaled_err(g[:, lo:hi], gb)) <= 1e-14
+
+    def test_segmented_vjp_matches_finite_differences(self):
+        rng = stream(20, "gs-seg-vjp")
+        starts, width = (0, 3, 4, 8), 10  # widths 3, 1, 4, 2
+        logits = rng.normal(size=(3, width))
+        noise = gumbel(rng, (3, width))
+        seed = rng.normal(size=(3, width))
+        tau = 0.667
+
+        def loss():
+            return float(np.sum(seed * gumbel_softmax(logits, tau, noise, starts)))
+
+        fd = finite_diff_grads(loss, [logits])[0]
+        y = gumbel_softmax(logits, tau, noise, starts)
+        g = gumbel_softmax_vjp(y, seed, tau, starts)
         assert np.max(scaled_err(g, fd)) < 1e-6
 
     def test_nonpositive_temperature_raises(self):

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 
 from rtblab import checkpoint as ckpt
-from rtblab.agents import ActionGrid, QNetwork, q_forward
+from rtblab.agents import ActionGrid, QNetwork, q_forward, rlb_dp_solve
 from rtblab.cli import main as cli_main
 from rtblab.config import cfg_floats, cfg_int, config_lines, effective_config
 from rtblab.autodiff import DimensionError
@@ -137,6 +139,47 @@ class TestCheckpointContainer:
         p.write_bytes(b"rtbckpt 99\n{}\n")
         with pytest.raises(DataError):
             ckpt.load_checkpoint(p)
+
+    def test_rlb_policy_round_trips_as_int32(self, tmp_path):
+        probs = stream(137, "ck").dirichlet(np.ones(30))
+        grid = ActionGrid.from_max_price(29.0, k=20)
+        tables = rlb_dp_solve(PriceHistogram(probs), 12, 40, grid)
+        path = tmp_path / "rlb.ckpt"
+        ckpt.save_rlb_agent(path, tables, grid.values, "h", "train", {"seed": 1})
+        manifest, arrays = ckpt.load_checkpoint(path)
+        assert np.array_equal(arrays["value"], tables.value)
+        assert arrays["value"].dtype == np.float64
+        assert arrays["policy"].dtype == np.int32
+        assert np.array_equal(arrays["policy"], tables.policy)
+        agent, _ = ckpt.load_agent(path)
+        assert np.array_equal(agent.tables.value, tables.value)
+        assert np.array_equal(agent.tables.policy, tables.policy)
+        # the same arrays with a float64 policy: 4 more bytes per policy cell
+        wide = tmp_path / "wide.ckpt"
+        ckpt.save_checkpoint(wide, manifest, {**arrays, "policy": arrays["policy"] * 1.0})
+        grown = os.path.getsize(wide) - os.path.getsize(path)
+        assert grown == 4 * tables.policy.size
+
+    def test_entry_without_dtype_reads_as_float64(self, tmp_path):
+        values = np.arange(6.0).reshape(2, 3) - 2.5
+        payload = values.astype("<f8").tobytes()
+        head = {"type": "test", "arrays": [{"name": "a", "shape": [2, 3]}],
+                "sha256": hashlib.sha256(payload).hexdigest()}
+        p = tmp_path / "old.ckpt"
+        p.write_bytes(f"{ckpt.MAGIC}\n{json.dumps(head)}\n".encode() + payload)
+        manifest, arrays = ckpt.load_checkpoint(p)
+        assert manifest == {"type": "test"}
+        assert arrays["a"].dtype == np.float64
+        assert np.array_equal(arrays["a"], values)
+        head["arrays"][0]["dtype"] = "<f4"
+        p.write_bytes(f"{ckpt.MAGIC}\n{json.dumps(head)}\n".encode() + payload)
+        with pytest.raises(DataError):
+            ckpt.load_checkpoint(p)
+
+    def test_integer_array_beyond_int32_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            ckpt.save_checkpoint(tmp_path / "c.ckpt", {"type": "test"},
+                                 {"a": np.array([0, 2**31])})
 
     def test_histogram_hash_describes_histogram(self):
         a = PriceHistogram(np.array([0.25, 0.5, 0.25]))

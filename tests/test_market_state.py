@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rtblab.autodiff import DenseLayer, Mlp, mlp_forward
+from rtblab.autodiff import (
+    DenseLayer,
+    Mlp,
+    gradient_penalty,
+    mlp_backward,
+    mlp_forward,
+)
 from rtblab.errors import ConfigError
 from rtblab.market_state import (
     EmpiricalSampler,
@@ -14,7 +20,6 @@ from rtblab.market_state import (
     critic_loss,
     generator_forward,
     generator_loss,
-    generator_sample,
     train_market_state_model,
 )
 from rtblab.data import BidRequest
@@ -41,6 +46,24 @@ def linear_critic(v):
     return Mlp([DenseLayer(v[:, None], np.zeros(1), "identity")])
 
 
+def unfused_critic_loss(critic, real, fake, gp_lambda, rng):
+    """critic_loss as separate passes: real, fake, then the penalty."""
+    n_r, n_f = real.shape[0], fake.shape[0]
+    s_real, tr_real = mlp_forward(critic, real, record=True)
+    s_fake, tr_fake = mlp_forward(critic, fake, record=True)
+    g_fake, _ = mlp_backward(tr_fake, np.full((n_f, 1), 1.0 / n_f))
+    g_real, _ = mlp_backward(tr_real, np.full((n_r, 1), -1.0 / n_r))
+    grads = [gf + gr for gf, gr in zip(g_fake, g_real)]
+    penalty = 0.0
+    if gp_lambda > 0.0:
+        m = min(n_r, n_f)
+        t = rng.random((m, 1))
+        penalty, p_grads, _ = gradient_penalty(critic, t * real[:m] + (1.0 - t) * fake[:m])
+        grads = [g + gp_lambda * pg for g, pg in zip(grads, p_grads)]
+    loss = float(s_fake.mean() - s_real.mean()) + gp_lambda * penalty
+    return loss, grads
+
+
 def unit_rows(width, hot_sets):
     out = np.zeros((len(hot_sets), width))
     for i, hots in enumerate(hot_sets):
@@ -55,11 +78,17 @@ class TestGeneratorSampling:
         rng = stream(50, "draw")
         z = rng.standard_normal((40, gen.z_dim))
         noise = gumbel(rng, (40, fdict.width))
-        x = generator_sample(gen, z, TOY_CFG.tau, noise, hard=True)
+        soft = generator_forward(gen, z, TOY_CFG.tau, noise)
+        x = np.zeros_like(soft)
+        for lo, hi in gen.slices:
+            x[np.arange(40), lo + np.argmax(soft[:, lo:hi], axis=1)] = 1.0
         for lo, hi in gen.slices:
             block = x[:, lo:hi]
             assert np.all(block.sum(axis=1) == 1.0)
             assert set(np.unique(block)) <= {0.0, 1.0}
+        # the sampler draws the same z and noise from its stream
+        idx = GeneratorSampler(gen, TOY_CFG.tau, stream(50, "draw")).sample_indices(40)
+        assert np.array_equal(np.nonzero(x)[1].reshape(40, -1), idx)
 
     def test_soft_mode_simplex_blocks(self):
         fdict = toy_fdict()
@@ -67,10 +96,22 @@ class TestGeneratorSampling:
         rng = stream(51, "draw")
         z = rng.standard_normal((25, gen.z_dim))
         noise = gumbel(rng, (25, fdict.width))
-        x = generator_sample(gen, z, TOY_CFG.tau, noise, hard=False)
+        x = generator_forward(gen, z, TOY_CFG.tau, noise)
         for lo, hi in gen.slices:
             assert np.max(np.abs(x[:, lo:hi].sum(axis=1) - 1.0)) <= 1e-12
             assert np.all(x[:, lo:hi] >= 0.0)
+
+    def test_gumbel_max_monte_carlo(self):
+        # uniform categorical over 4 (zero logits), hard argmax of the relaxed draw
+        fdict = synth_feature_dict((3,))
+        gen = build_generator(fdict, TOY_CFG, stream(14, "gen"))
+        head = gen.net.layers[-1]
+        head.w[:] = 0.0
+        head.b[:] = 0.0
+        n = 100_000
+        idx = GeneratorSampler(gen, 0.5, stream(14, "gs-mc")).sample_indices(n)
+        freqs = np.bincount(idx[:, 0], minlength=4) / n
+        assert np.all(np.abs(freqs - 0.25) < 0.01)
 
     def test_fixed_seed_reproducible(self):
         fdict = toy_fdict()
@@ -144,6 +185,68 @@ class TestCriticLoss:
                 flat[i] = orig
                 fd = (fp - fm) / (2 * h)
                 assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
+
+
+    def test_relu_critic_gradients_match_finite_differences(self):
+        # real, fake and interpolates all clear the rectifier kinks, so
+        # central differences stay on one smooth piece
+        rng = stream(70, "cl-relu-fd")
+        critic = make_mlp([4, 6, 5, 1], ["relu", "relu", "identity"], rng)
+        for lay in critic.layers:
+            lay.b[:] = rng.normal(0, 0.2, size=lay.b.shape)
+        gp_rng_key = 98
+        for _ in range(200):
+            real = rng.uniform(-2, 2, size=(5, 4))
+            fake = rng.uniform(-2, 2, size=(5, 4))
+            t = stream(gp_rng_key, "gp").random((5, 1))
+            x = np.concatenate([real, fake, t * real + (1.0 - t) * fake])
+            _, trace = mlp_forward(critic, x, record=True)
+            if all(np.min(np.abs(z)) > 1e-3 for z in trace.zs[:-1]):
+                break
+        else:
+            raise AssertionError("could not find kink-free batches")
+
+        def loss():
+            v, _, _ = critic_loss(critic, real, fake, 10.0, stream(gp_rng_key, "gp"))
+            return v
+
+        _, grads, parts = critic_loss(critic, real, fake, 10.0, stream(gp_rng_key, "gp"))
+        assert parts["penalty"] > 0.0
+        h = 1e-5
+        for arr, g in zip(critic.arrays(), grads):
+            flat, gflat = arr.ravel(), g.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = loss()
+                flat[i] = orig - h
+                fm = loss()
+                flat[i] = orig
+                fd = (fp - fm) / (2 * h)
+                assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
+
+    @pytest.mark.parametrize("acts", [("relu", "relu"), ("tanh", "tanh"), ("relu", "tanh")])
+    @pytest.mark.parametrize("n_real, n_fake", [(9, 6), (5, 11), (8, 8)])
+    @pytest.mark.parametrize("gp_lambda", [0.0, 10.0])
+    def test_fused_step_matches_unfused_composition(self, acts, n_real, n_fake, gp_lambda):
+        rng = stream(71, "cl-fused", *acts, n_real, n_fake)
+        critic = make_mlp([6, 7, 5, 1], [*acts, "identity"], rng)
+        for lay in critic.layers:
+            lay.b[:] = rng.normal(0, 0.2, size=lay.b.shape)
+        real = rng.uniform(-2, 2, size=(n_real, 6))
+        fake = rng.uniform(-2, 2, size=(n_fake, 6))
+        loss, grads, parts = critic_loss(critic, real, fake, gp_lambda, stream(72, "gp"))
+        want_loss, want_grads = unfused_critic_loss(critic, real, fake, gp_lambda,
+                                                    stream(72, "gp"))
+        assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        # relative to the largest gradient entry: the output bias's
+        # Wasserstein gradient is a sum that cancels to rounding noise
+        scale = max(np.max(np.abs(w)) for w in want_grads)
+        for g, w in zip(grads, want_grads):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale
+        if gp_lambda == 0.0:
+            assert parts["penalty"] == 0.0
 
 
 class TestGeneratorLoss:
