@@ -1,0 +1,236 @@
+"""Time the request data path: ingest, load, fdqi transitions and one
+DDQN update.
+
+    python3 bench/requests.py --label after
+    python3 bench/requests.py --label before --src OLD_CHECKOUT/src
+
+The data is perfbench's synthetic market (5 fields, 6000 records), as a
+one-hot log (the train-agents workload's) and with seeded multi-hot user
+tags (learn-market's), synthesized and parsed once per shape. At each
+shape it times:
+
+- ingest: `SampleSet.from_records` on the parsed records, then `save`;
+- load: `SampleSet.load` of that file;
+- fdqi: `fdqi_build_transitions` on the loaded set (t0 = 100);
+- ddqn_update: one DDQN update at the train-agents shape (batch 32,
+  shared width 128, branch 64, 20 actions): `batch_arrays` on a batch
+  drawn from a replay buffer holding 800 environment steps, then
+  `ddqn_loss` and `adam_step`.
+
+Every layer time is the median over REPEATS repeats of the mean of CALLS
+calls. The times, with the facts of the machine that ran them and hashes
+of the outputs (the sample file, every fdqi transition, the update's
+losses and network), go into BENCH_requests.json under --label, beside
+the labels already there; equal hashes across labels mean equal results.
+--src picks the rtblab source tree to time, so an older checkout can be
+timed into the same file: the script drives both the replay layout of
+lists of Transition objects and the columnar one. The tagged shape's
+dictionary follows Python's set order, so its hashes compare across
+labels only when PYTHONHASHSEED is fixed (it is recorded with the run).
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+OUT = os.path.join(ROOT, "BENCH_requests.json")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import machine_facts  # noqa: E402  (fixes the BLAS threads before numpy loads)
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402  (perfbench's synthetic market)
+
+SHAPES = ("one-hot", "tagged")
+T0 = 100
+ENV_STEPS = 800
+BATCH = 32
+CALLS = 20
+REPEATS = 5
+
+
+def records(shape, tmp):
+    """The parsed log of one shape."""
+    from rtblab.cli import main as cli_main
+    from rtblab.data import load_schema, parse_log
+
+    spec = os.path.join(tmp, "spec.txt")
+    with open(spec, "w", encoding="utf-8") as fh:
+        fh.write(workloads.synth_spec_text())
+    raw = os.path.join(tmp, f"raw-{shape}")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_main(["synth", spec, "--out", raw, "--seed", "1"])
+    log = os.path.join(raw, "log.tsv")
+    if shape == "tagged":
+        workloads.add_user_tags(log, 1)
+    return parse_log(log, load_schema(os.path.join(raw, "schema.txt")))[0]
+
+
+def columnar() -> bool:
+    """Whether the tree under test keeps transitions in columns."""
+    from rtblab.agents import replay
+
+    return not hasattr(replay, "Transition")
+
+
+def gather_all(transitions, cols: bool):
+    """batch_arrays over every transition of an fdqi transition set."""
+    from rtblab.agents.replay import batch_arrays
+
+    if cols:
+        return batch_arrays(transitions, np.arange(len(transitions["reward"])))
+    return batch_arrays(transitions)
+
+
+def filled_buffer(samples, cols: bool):
+    """A replay buffer holding ENV_STEPS steps of random bids."""
+    from rtblab.agents import replay
+    from rtblab.env import EnvMeta, SimEnv
+    from rtblab.market_action import PriceModel
+    from rtblab.market_state import EmpiricalSampler
+    from rtblab.rng import stream
+
+    d = samples.width
+    env = SimEnv(EmpiricalSampler(samples.requests, stream(1, "bench", "x")),
+                 PriceModel(np.zeros(d), 60.0, np.zeros(d), float(np.log(20.0))),
+                 None, "impression", EnvMeta(cpm_ref=30_000.0, t0_ref=T0),
+                 stream(1, "bench", "market"))
+    g = stream(1, "bench", "bids")
+    buf = replay.ReplayBuffer()
+    obs = env.reset(3000.0, T0)
+    for _ in range(ENV_STEPS):
+        a = int(g.integers(20))
+        out = env.step(5.0 * a)
+        nxt = out.observation
+        row = (obs.request, obs.budget_norm, obs.time_norm, a, out.reward,
+               nxt.request, nxt.budget_norm, nxt.time_norm, out.done)
+        if cols:
+            buf.push(*row)
+        else:
+            buf.push(replay.Transition(*row))
+        obs = env.reset(3000.0, T0) if out.done else nxt
+    return buf
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def per_call(fn) -> float:
+    start = time.perf_counter()
+    for _ in range(CALLS):
+        fn()
+    return (time.perf_counter() - start) / CALLS
+
+
+def time_shape(shape, tmp) -> dict:
+    from rtblab.agents import ActionGrid, QNetwork, ddqn_loss, fdqi_build_transitions
+    from rtblab.agents.replay import batch_arrays
+    from rtblab.data import SampleSet, build_feature_dictionary
+    from rtblab.optim import AdamState, adam_step
+    from rtblab.rng import stream
+
+    cols = columnar()
+    recs = records(shape, tmp)
+    fdict = build_feature_dictionary(recs, 1)
+    path = os.path.join(tmp, f"{shape}.samples")
+    grid = ActionGrid.from_max_price(300.0)
+
+    def ingest():
+        SampleSet.from_records(recs, fdict).save(path)
+
+    ingest()
+    samples = SampleSet.load(path)
+    buf = filled_buffer(samples, cols)
+
+    def ddqn_updates():
+        """CALLS updates from a fresh network and sampling stream."""
+        rng = stream(1, "bench", "ddqn")
+        qnet = QNetwork.build(samples.width, rng)
+        target = qnet.copy()
+        state = AdamState.for_arrays(qnet.arrays())
+        losses = []
+        start = time.perf_counter()
+        for _ in range(CALLS):
+            drawn = buf.sample(BATCH, rng)   # ids, or the transitions themselves
+            batch = batch_arrays(buf, drawn) if cols else batch_arrays(drawn)
+            loss, grads = ddqn_loss(qnet, target, batch)
+            adam_step(qnet.arrays(), grads, state, lr=1e-3)
+            losses.append(loss)
+        return (time.perf_counter() - start) / CALLS, [np.array(losses)] + qnet.arrays()
+
+    layers = {
+        "ingest": ingest,
+        "load": lambda: SampleSet.load(path),
+        "fdqi": lambda: fdqi_build_transitions(samples, grid, T0, 30_000.0),
+    }
+    times = {k: [] for k in (*layers, "ddqn_update")}
+    outputs = set()
+    for _ in range(REPEATS):
+        for k, fn in layers.items():
+            times[k].append(per_call(fn))
+        t, nets = ddqn_updates()
+        times["ddqn_update"].append(t)
+        batch = gather_all(fdqi_build_transitions(samples, grid, T0, 30_000.0), cols)
+        with open(path, "rb") as fh:
+            sample_file = hashlib.sha256(fh.read()).hexdigest()
+        outputs.add((
+            sample_file,
+            digest([batch[k] for k in ("b", "t", "action", "reward", "next_b",
+                                       "next_t", "done")]
+                   + [batch["packed"].dense(), batch["next_packed"].dense()]),
+            digest(nets),
+        ))
+    if len(outputs) != 1:
+        raise SystemExit(f"{shape}: repeats gave different outputs")
+    sample_file, fdqi, ddqn = outputs.pop()
+    return {
+        "name": shape, "records": len(recs), "width": fdict.width, "t0": T0,
+        "env_steps": ENV_STEPS, "batch": BATCH, "calls": CALLS, "repeats": REPEATS,
+        "outputs_sha256": {"samples": sample_file, "fdqi": fdqi, "ddqn": ddqn},
+        "median_ms": {k: 1e3 * statistics.median(v) for k, v in times.items()},
+        "min_ms": {k: 1e3 * min(v) for k, v in times.items()},
+        "times_ms": {k: [1e3 * x for x in v] for k, v in times.items()},
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--label", required=True)
+    p.add_argument("--src", default=os.path.join(ROOT, "src"))
+    args = p.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        shapes = [time_shape(shape, tmp) for shape in SHAPES]
+    for s in shapes:
+        cells = "  ".join(f"{k} {v:.3f}" for k, v in s["median_ms"].items())
+        print(f"{args.label}: {s['name']} (median ms) {cells}")
+
+    result = {"runs": {}}
+    if os.path.exists(OUT):
+        with open(OUT, "r", encoding="utf-8") as fh:
+            result = json.load(fh)
+    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes,
+                                  "pythonhashseed": os.environ.get("PYTHONHASHSEED")}
+    with open(OUT, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

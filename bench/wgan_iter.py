@@ -22,8 +22,8 @@ calls. The times, with the facts of the machine that ran them and a hash
 of the outputs (the trained nets and one critic step's gradients), go
 into BENCH_wgan_iter.json under --label, beside the labels already
 there. Every repeat of a shape must give the same hash. --src picks the
-rtblab source tree to time, so an older checkout can be timed into the
-same file.
+rtblab source tree to time, so an older checkout (one whose requests are
+PackedRequests batches) can be timed into the same file.
 """
 
 import os
@@ -56,16 +56,15 @@ REPEATS = 5
 
 def corpus(field_dims, fdict, g):
     """N_REQUESTS requests: one category per field and 1-3 in the first."""
-    from rtblab.data import BidRequest
+    from rtblab.data import PackedRequests
 
     offsets = np.array([fdict.offset(f) for f in fdict.fields])
     cats = np.stack([g.integers(0, d + 1, size=N_REQUESTS) for d in field_dims], axis=1)
-    out = []
+    rows = []
     for row in cats + offsets:
         extra = g.choice(field_dims[0] + 1, size=int(g.integers(0, 3)), replace=False)
-        idx = np.unique(np.concatenate([row, offsets[0] + extra]))
-        out.append(BidRequest(idx, fdict.width))
-    return out
+        rows.append(np.unique(np.concatenate([row, offsets[0] + extra])))
+    return PackedRequests.from_rows(rows, fdict.width)
 
 
 def per_call(fn) -> float:
@@ -84,7 +83,6 @@ def digest(arrays) -> str:
 
 def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
     from rtblab.autodiff import gradient_penalty, mlp_backward, mlp_forward
-    from rtblab.data import PackedRequests
     from rtblab.market_state import (WganConfig, build_critic, build_generator,
                                      critic_loss, generator_forward,
                                      train_market_state_model)
@@ -93,7 +91,8 @@ def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
 
     fdict = synth_feature_dict(field_dims)
     reqs = corpus(field_dims, fdict, np.random.default_rng(20200401))
-    train, val = reqs[: N_REQUESTS * 3 // 4], reqs[N_REQUESTS * 3 // 4 :]
+    cut = N_REQUESTS * 3 // 4
+    train, val = reqs.rows(np.arange(cut)), reqs.rows(np.arange(cut, N_REQUESTS))
     cfg = WganConfig(batch_size=batch, lr=1e-3, z_dim=z_dim, gen_hidden=hidden,
                      critic_hidden=hidden, max_iters=ITERS,
                      stop_min_iters=ITERS + 1)
@@ -101,7 +100,7 @@ def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
     gen = build_generator(fdict, cfg, stream(1, "bench", "gen"))
     critic = build_critic(fdict.width, cfg, stream(1, "bench", "critic"))
     g = stream(1, "bench", "data")
-    real = PackedRequests(train).rows(np.arange(batch)).dense()
+    real = train.rows(np.arange(batch)).dense()
     z = g.standard_normal((batch, z_dim))
     noise = gumbel(g, (batch, fdict.width))
     fake = generator_forward(gen, z, cfg.tau, noise)

@@ -12,7 +12,7 @@ from .ddqn import (
 from .fdqi import FdqiConfig, fdqi_build_transitions, fdqi_train, fitted_q_loss
 from .linbid import LinBidAgent, linbid_act, linbid_tune
 from .qnet import QNetwork, q_backward, q_forward
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 from .rlb import DpTables, RlbAgent, rlb_act, rlb_dp_solve
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "q_backward",
     "q_forward",
     "ReplayBuffer",
-    "Transition",
     "DpTables",
     "RlbAgent",
     "rlb_act",

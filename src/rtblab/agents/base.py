@@ -31,9 +31,16 @@ class ActionGrid:
     def __len__(self) -> int:
         return self.values.size
 
-    def nearest_index(self, bid: float) -> int:
-        """Closest grid action; exact midpoints resolve to the lower index."""
-        return int(np.argmin(np.abs(self.values - bid)))
+    def nearest_index(self, bid):
+        """Closest grid action to a bid, or to each bid of an array, in
+        O(bids) memory; exact midpoints resolve to the lower index."""
+        bid = np.asarray(bid, dtype=np.float64)
+        out, best = np.zeros(bid.shape, dtype=np.int64), np.full(bid.shape, np.inf)
+        for a, v in enumerate(self.values):
+            dist = np.abs(v - bid)
+            out[dist < best] = a
+            best = np.minimum(best, dist)
+        return out if out.ndim else int(out)
 
 
 class ConstantBidAgent:

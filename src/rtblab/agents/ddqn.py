@@ -15,7 +15,7 @@ from ..errors import NumericalError
 from ..optim import AdamState, adam_step
 from .base import ActionGrid
 from .qnet import QNetwork, q_backward, q_forward, q_values
-from .replay import ReplayBuffer, Transition, batch_arrays
+from .replay import ReplayBuffer, batch_arrays
 
 
 def epsilon_schedule(step: int, floor: float = 0.2, scale: float = 500_000.0) -> float:
@@ -116,12 +116,10 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
             eps = epsilon_schedule(steps, cfg.eps_floor, cfg.eps_scale)
             a = act_epsilon_greedy(qnet, obs[i], eps, rng)
             out = env.step(float(grid.values[a]))
-            buffer.push(Transition(
-                obs[i].request, obs[i].budget_norm, obs[i].time_norm,
-                a, out.reward,
-                out.observation.request, out.observation.budget_norm,
-                out.observation.time_norm, out.done,
-            ))
+            buffer.push(obs[i].request, obs[i].budget_norm, obs[i].time_norm,
+                        a, out.reward,
+                        out.observation.request, out.observation.budget_norm,
+                        out.observation.time_norm, out.done)
             steps += 1
             if out.done:
                 diag.episode_rewards.append(env.total_reward)
@@ -130,7 +128,7 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
                 obs[i] = out.observation
 
         if steps >= cfg.warmup_steps and len(buffer) >= cfg.batch_size:
-            batch = batch_arrays(buffer.sample(cfg.batch_size, rng))
+            batch = batch_arrays(buffer, buffer.sample(cfg.batch_size, rng))
             loss, grads = ddqn_loss(qnet, target, batch, cfg.gamma)
             if not np.isfinite(loss):
                 raise NumericalError(f"ddqn loss non-finite at step {steps}")

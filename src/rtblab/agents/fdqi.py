@@ -18,7 +18,7 @@ from ..errors import DataError, NumericalError
 from ..optim import AdamState, adam_step
 from .base import ActionGrid
 from .qnet import QNetwork, q_backward, q_forward
-from .replay import Transition, batch_arrays
+from .replay import batch_arrays
 
 
 def fitted_q_loss(qnet: QNetwork, target_net: QNetwork, batch: dict,
@@ -38,44 +38,41 @@ def fitted_q_loss(qnet: QNetwork, target_net: QNetwork, batch: dict,
 
 
 def fdqi_build_transitions(samples: SampleSet, grid: ActionGrid, t0: int,
-                           cpm_ref: float, utility: str = "impression") -> list:
+                           cpm_ref: float, utility: str = "impression") -> dict:
     """Chunk records into consecutive t0-step episodes and reconstruct
-    (observation, grid action, realized reward, next observation, done)."""
+    (observation, grid action, realized reward, next observation, done)
+    as a transition table (see replay). Records past the last whole
+    episode are dropped."""
     n = len(samples)
     if n == 0:
         raise DataError("no records to build transitions from")
     if n < t0:
         warnings.warn(f"only {n} records; using one shorter episode")
-        chunks = [np.arange(n)]
-    else:
-        chunks = [np.arange(s, s + t0) for s in range(0, n - t0 + 1, t0)]
+    m = min(n, t0)   # steps per episode
+    rows = np.arange(n - n % m).reshape(-1, m)   # one episode per row
+    nxt = rows + 1
+    nxt[:, -1] = rows[:, -1]   # the terminal step keeps its own request
 
-    costs_all = np.where(samples.wins, np.nan_to_num(samples.prices), 0.0)
-    rewards_all = (samples.clicks if utility == "click" else samples.wins).astype(float)
-    scale = cpm_ref * t0 / 1000.0
-    transitions = []
-    for chunk in chunks:
-        costs = costs_all[chunk]
-        budget0 = float(costs.sum())
-        budget = budget0
-        m = chunk.size
-        for j, i in enumerate(chunk):
-            b_norm = budget / max(scale, 1e-12)
-            t_norm = (m - j) / t0
-            next_budget = budget - costs[j]
-            done = j == m - 1
-            nxt = chunk[j + 1] if not done else i
-            transitions.append(Transition(
-                samples.requests[i], b_norm, t_norm,
-                grid.nearest_index(float(samples.bids[i])),
-                float(rewards_all[i]),
-                samples.requests[nxt],
-                next_budget / max(scale, 1e-12),
-                (m - j - 1) / t0,
-                done,
-            ))
-            budget = next_budget
-    return transitions
+    costs = np.where(samples.wins, np.nan_to_num(samples.prices), 0.0)[rows]
+    rewards = (samples.clicks if utility == "click" else samples.wins).astype(float)
+    # the budget before each step, from the episode's spend down to zero,
+    # subtracting one cost at a time as the episode spends it
+    budget = np.subtract.accumulate(np.column_stack([costs.sum(axis=1), costs]), axis=1)
+    budget /= max(cpm_ref * t0 / 1000.0, 1e-12)
+    time_left = np.arange(m, -1, -1) / t0
+    done = np.arange(m) == m - 1
+    episodes, flat = rows.shape[0], rows.ravel()
+    return {
+        "packed": samples.requests.rows(flat),
+        "b": budget[:, :-1].ravel(),
+        "t": np.tile(time_left[:-1], episodes),
+        "action": grid.nearest_index(samples.bids[flat]),
+        "reward": rewards[flat],
+        "next_packed": samples.requests.rows(nxt.ravel()),
+        "next_b": budget[:, 1:].ravel(),
+        "next_t": np.tile(time_left[1:], episodes),
+        "done": np.tile(done, episodes),
+    }
 
 
 @dataclass
@@ -97,22 +94,23 @@ class FdqiDiagnostics:
     iterations: int = 0
 
 
-def fdqi_train(transitions: list, width: int, cfg: FdqiConfig, rng,
-               price_model=None):
-    """Repeated fitted iterations over the full batch; keeps the
-    best-so-far network by held-out TD error and aborts on divergence."""
-    if not transitions:
+def fdqi_train(transitions, width: int, cfg: FdqiConfig, rng, price_model=None):
+    """Repeated fitted iterations over the full batch of a transition
+    table; keeps the best-so-far network by held-out TD error and aborts
+    on divergence."""
+    n = len(transitions["reward"])
+    if n == 0:
         raise DataError("fdqi needs at least one transition")
     qnet = QNetwork.build(width, rng, n_actions=cfg.n_actions,
                           shared=cfg.shared_width, branch=cfg.branch_width,
                           price_model=price_model)
     state = AdamState.for_arrays(qnet.arrays())
 
-    ids = rng.permutation(len(transitions))
-    n_hold = max(1, int(cfg.holdout_fraction * len(transitions)))
-    hold = [transitions[i] for i in ids[:n_hold]]
-    train = [transitions[i] for i in ids[n_hold:]] or hold
-    hold_batch = batch_arrays(hold)
+    ids = rng.permutation(n)
+    n_hold = max(1, int(cfg.holdout_fraction * n))
+    hold = ids[:n_hold]
+    train = ids[n_hold:] if n > n_hold else hold
+    hold_batch = batch_arrays(transitions, hold)
 
     best = None
     diag = FdqiDiagnostics()
@@ -121,8 +119,7 @@ def fdqi_train(transitions: list, width: int, cfg: FdqiConfig, rng,
         for _ in range(cfg.epochs_per_iter):
             order = rng.permutation(len(train))
             for s in range(0, len(train), cfg.batch_size):
-                rows = order[s : s + cfg.batch_size]
-                batch = batch_arrays([train[i] for i in rows])
+                batch = batch_arrays(transitions, train[order[s : s + cfg.batch_size]])
                 loss, grads = fitted_q_loss(qnet, target, batch, cfg.gamma)
                 if not np.isfinite(loss):
                     raise NumericalError(f"fdqi diverged at iteration {it}")

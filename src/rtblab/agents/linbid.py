@@ -7,17 +7,17 @@ utility theta is the predicted click rate over its corpus average.
 
 import numpy as np
 
-from ..data import PackedRequests
 from ..errors import ConfigError
 
 
 def linbid_act(b0: float, request, utility: str = "impression",
                click_model=None, avg_ctr: float = None) -> float:
+    """Bid for one request, a 1-row PackedRequests."""
     if utility == "impression":
         return float(b0)
     if click_model is None or not avg_ctr:
         raise ConfigError("click utility needs a click model and its average ctr")
-    p = float(click_model.prob(PackedRequests([request]))[0])
+    p = float(click_model.prob(request)[0])
     return float(b0) * p / avg_ctr
 
 

@@ -100,5 +100,4 @@ def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> list:
 
 def q_values(qnet: QNetwork, obs) -> np.ndarray:
     """Q-row for a single environment observation."""
-    packed = PackedRequests([obs.request])
-    return q_forward(qnet, packed, [obs.budget_norm], [obs.time_norm])[0]
+    return q_forward(qnet, obs.request, [obs.budget_norm], [obs.time_norm])[0]

@@ -75,12 +75,12 @@ def load_checkpoint(path):
 
 
 def hash_requests(requests) -> str:
-    """Stable content hash of a featurized request corpus."""
-    h = hashlib.sha256()
-    for r in requests:
-        h.update(np.asarray(r.indices, dtype="<i8").tobytes())
-        h.update(b";")
-    return h.hexdigest()[:16]
+    """Stable content hash of a featurized request corpus (a
+    PackedRequests): every row's indices as little-endian int64, each row
+    followed by b";", hashed in one pass."""
+    data = requests.indices.astype("<i8").view(np.uint8)
+    stream = np.insert(data, 8 * np.cumsum(requests.counts), ord(";"))
+    return hashlib.sha256(stream.tobytes()).hexdigest()[:16]
 
 
 def hash_histogram(histogram) -> str:

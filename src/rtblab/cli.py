@@ -43,7 +43,6 @@ from .data import (
     load_schema,
     parse_log,
     split_day_indices,
-    split_random_indices,
 )
 from .env import EnvMeta, EnvParts, make_test_env, make_train_env
 from .errors import ConfigError, DataError, NumericalError
@@ -106,15 +105,10 @@ def cmd_ingest(args):
     if not records:
         raise DataError(f"no parseable records in {args.log}")
     fdict = build_feature_dictionary(records, cfg_int(cfg, "min_count"))
-    ts = np.array([r.timestamp for r in records])
-    if cfg.get("split_mode", "day") == "random":
-        parts = split_random_indices(len(records), (0.60, 0.15, 0.25),
-                                     stream(cfg_int(cfg, "seed"), "split"))
-    else:
-        parts = split_day_indices(ts, (0.60, 0.15, 0.25))
+    all_samples = SampleSet.from_records(records, fdict)
+    parts = split_day_indices(all_samples.timestamps, (0.60, 0.15, 0.25))
     os.makedirs(args.out, exist_ok=True)
     fdict.save(_data_path(args.out, "dict.txt"))
-    all_samples = SampleSet.from_records(records, fdict)
     for split, idx in zip(SPLITS, parts):
         sub = all_samples.subset(np.sort(idx))
         sub.save(_data_path(args.out, f"{split}.samples"))
@@ -183,8 +177,7 @@ def cmd_train_price(args):
     cfg = _cfg(args)
     samples = _load_split(args.data, args.split)
     val = _load_split(args.data, "val")
-    model, info = train_price_model(samples, val, stream(cfg_int(cfg, "seed"),
-                                    "price", args.split), _fit_config(cfg))
+    model, info = train_price_model(samples, val, _fit_config(cfg))
     ckpt.save_price_model(args.out, model, args.split,
                           ckpt.hash_requests(samples.requests), cfg)
     print(f"price model: val nll {info['val_nll']:.4f} (l2 {info['l2']}, "
@@ -266,7 +259,8 @@ def cmd_train_agent(args):
         qnet, diag = fdqi_train(trs, samples.width, fcfg, stream(seed, "fdqi"),
                                 price_model=price)
         ckpt.save_qnet_agent(args.out, "fdqi", qnet, grid.values, "train", cfg)
-        print(f"fdqi: {len(trs)} transitions, {diag.iterations} fitted iterations")
+        print(f"fdqi: {len(trs['reward'])} transitions, "
+              f"{diag.iterations} fitted iterations")
     else:
         raise ConfigError(f"unknown agent {args.agent!r}")
     return 0

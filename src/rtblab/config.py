@@ -1,9 +1,10 @@
 """Flat key=value configuration with desk and paper profiles.
 
 The desk profile keeps every run at laptop scale; the paper profile
-restores the full-scale settings. Every key can be overridden from a
-config file or --set on the command line, and the effective config is
-echoed into checkpoints and reports.
+restores the full-scale settings. Every profile key can be overridden
+from a config file or --set on the command line; a key the profile does
+not have is refused. The effective config is echoed into checkpoints and
+reports.
 """
 
 from .errors import ConfigError
@@ -101,14 +102,17 @@ def effective_config(profile: str = "desk", path=None, overrides=None) -> dict:
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; pick from {sorted(PROFILES)}")
     cfg = dict(PROFILES[profile])
-    cfg["profile"] = profile
-    if path:
-        cfg.update(load_config_file(path))
+    updates = load_config_file(path) if path else {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         k, _, v = item.partition("=")
-        cfg[k.strip()] = v.strip()
+        updates[k.strip()] = v.strip()
+    unknown = sorted(set(updates) - set(cfg))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
+    cfg.update(updates)
+    cfg["profile"] = profile
     return cfg
 
 

@@ -3,13 +3,14 @@ featurization, day splits, and dataset statistics.
 
 Input logs are UTF-8 TSV with a schema file declaring `name:type` per
 line. A losing row carries an empty pay_price (the market price is
-censored). Featurization turns each record into a sparse one-hot vector
-with exactly one active index per field; the usertag block is the single
-exception, where every tag is its own binary feature.
+censored). Featurization turns each record into the active indices of a
+sparse one-hot vector, exactly one per field; the usertag block is the
+single exception, where every tag is its own binary feature. Requests
+travel as PackedRequests batches, from the sample file to the replay.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,12 +249,6 @@ class FeatureDict:
             return self.other_index(f)
         return self._offsets[f] + local
 
-    def field_of_index(self, idx: int) -> str:
-        for f in self.fields:
-            if self._offsets[f] <= idx < self._offsets[f] + self.field_width(f):
-                return f
-        raise IndexError(idx)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("featuredict 1\n")
@@ -318,28 +313,9 @@ def build_feature_dictionary(records, min_count: int) -> FeatureDict:
     return FeatureDict(FIELDS, maps, min_count)
 
 
-@dataclass
-class BidRequest:
-    """Sparse one-hot vector: active global indices plus total width."""
-
-    indices: np.ndarray
-    width: int
-
-    def dense(self) -> np.ndarray:
-        v = np.zeros(self.width)
-        v[self.indices] = 1.0
-        return v
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BidRequest)
-            and self.width == other.width
-            and np.array_equal(self.indices, other.indices)
-        )
-
-
-def featurize(record: RawRecord, fdict: FeatureDict) -> BidRequest:
-    """One active index per field; usertag may contribute several."""
+def featurize(record: RawRecord, fdict: FeatureDict) -> np.ndarray:
+    """Active indices of one record: one per field; usertag may
+    contribute several."""
     cats = derive_fields(record)
     idx = []
     for f in fdict.fields:
@@ -352,7 +328,7 @@ def featurize(record: RawRecord, fdict: FeatureDict) -> BidRequest:
                 idx.extend(tag_idx)
         else:
             idx.append(fdict.index(f, v))
-    return BidRequest(np.asarray(idx, dtype=np.int64), fdict.width)
+    return np.asarray(idx, dtype=np.int64)
 
 
 @dataclass
@@ -362,7 +338,7 @@ class SampleSet:
     prices are nan where the auction was lost (market price censored).
     """
 
-    requests: list
+    requests: "PackedRequests"
     bids: np.ndarray
     prices: np.ndarray
     wins: np.ndarray
@@ -376,7 +352,7 @@ class SampleSet:
     def subset(self, idx) -> "SampleSet":
         idx = np.asarray(idx)
         return SampleSet(
-            [self.requests[i] for i in idx],
+            self.requests.rows(idx),
             self.bids[idx],
             self.prices[idx],
             self.wins[idx],
@@ -385,18 +361,10 @@ class SampleSet:
             self.width,
         )
 
-    def dense(self, idx=None) -> np.ndarray:
-        reqs = self.requests if idx is None else [self.requests[i] for i in idx]
-        out = np.zeros((len(reqs), self.width))
-        for r, req in enumerate(reqs):
-            out[r, req.indices] = 1.0
-        return out
-
     @classmethod
     def from_records(cls, records, fdict: FeatureDict) -> "SampleSet":
-        reqs = [featurize(r, fdict) for r in records]
         return cls(
-            reqs,
+            PackedRequests.from_rows([featurize(r, fdict) for r in records], fdict.width),
             np.array([r.bid_price for r in records], dtype=np.float64),
             np.array([r.pay_price for r in records], dtype=np.float64),
             np.array([r.win for r in records], dtype=bool),
@@ -406,15 +374,16 @@ class SampleSet:
         )
 
     def save(self, path) -> None:
+        ptr = np.cumsum(self.requests.counts).tolist()
+        tokens = [str(j) for j in self.requests.indices.tolist()]
+        columns = zip(self.timestamps.tolist(), self.wins.tolist(), self.clicks.tolist(),
+                      self.bids.tolist(), self.prices.tolist(), [0] + ptr, ptr)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"samples 1 {self.width}\n")
-            for i in range(len(self)):
-                price = "" if np.isnan(self.prices[i]) else repr(float(self.prices[i]))
-                idx = ",".join(str(j) for j in self.requests[i].indices)
-                fh.write(
-                    f"{self.timestamps[i]}\t{int(self.wins[i])}\t{int(self.clicks[i])}"
-                    f"\t{float(self.bids[i])!r}\t{price}\t{idx}\n"
-                )
+            for t, w, c, b, p, lo, hi in columns:
+                price = "" if math.isnan(p) else repr(p)
+                idx = ",".join(tokens[lo:hi])
+                fh.write(f"{t}\t{int(w)}\t{int(c)}\t{b!r}\t{price}\t{idx}\n")
 
     @classmethod
     def load(cls, path) -> "SampleSet":
@@ -423,28 +392,34 @@ class SampleSet:
                 header = fh.readline().split()
                 if len(header) != 3 or header[0] != "samples":
                     raise DataError(f"{path} is not a sample file")
-                width = int(header[2])
-                reqs, bids, prices, wins, clicks, ts = [], [], [], [], [], []
-                for line in fh:
-                    t, w, c, b, p, idx = line.rstrip("\n").split("\t")
-                    ts.append(int(t))
-                    wins.append(w == "1")
-                    clicks.append(c == "1")
-                    bids.append(float(b))
-                    prices.append(float(p) if p else float("nan"))
-                    active = [int(s) for s in idx.split(",")] if idx else []
-                    reqs.append(BidRequest(np.array(active, dtype=np.int64), width))
+                rows = [line.rstrip("\n").split("\t") for line in fh]
         except OSError as exc:
             raise DataError(f"cannot read samples {path}: {exc}") from exc
-        return cls(
-            reqs,
-            np.array(bids),
-            np.array(prices),
-            np.array(wins, dtype=bool),
-            np.array(clicks, dtype=bool),
-            np.array(ts, dtype=np.int64),
-            width,
-        )
+        if any(len(r) != 6 for r in rows):
+            raise DataError(f"{path}: a sample line does not have 6 columns")
+        if not rows:
+            raise DataError(f"{path} holds no samples")
+        ts, wins, clicks, bids, prices, idx = zip(*rows)
+        n = len(rows)
+        counts = [s.count(",") + 1 if s else 0 for s in idx]
+        active = ",".join(s for s in idx if s)
+        try:
+            indices = (np.fromstring(active, dtype=np.int64, sep=",") if active
+                       else np.zeros(0, np.int64))
+            if indices.size != sum(counts):
+                raise ValueError("unreadable request indices")
+            return cls(
+                PackedRequests(indices, int(header[2]), counts),
+                np.fromiter(map(float, bids), np.float64, n),
+                np.fromiter((float(p) if p else float("nan") for p in prices),
+                            np.float64, n),
+                np.array(wins) == "1",
+                np.array(clicks) == "1",
+                np.fromiter(map(int, ts), np.int64, n),
+                int(header[2]),
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed sample file: {exc}") from exc
 
 
 def split_day_indices(timestamps_ms: np.ndarray, fractions=(0.60, 0.15, 0.25)) -> tuple:
@@ -469,16 +444,6 @@ def split_day_indices(timestamps_ms: np.ndarray, fractions=(0.60, 0.15, 0.25)) -
     in_train = np.isin(days, list(train_days))
     in_val = np.isin(days, list(val_days))
     return idx[in_train], idx[in_val], idx[~in_train & ~in_val]
-
-
-def split_random_indices(n: int, fractions, rng: np.random.Generator) -> tuple:
-    """Record-level random split with the same fractions (no day structure)."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
-    perm = rng.permutation(n)
-    n_train = int(fractions[0] * n + 0.5)
-    n_val = int(fractions[1] * n + 0.5)
-    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
 @dataclass
@@ -579,27 +544,44 @@ class DatasetStats:
 
 
 class PackedRequests:
-    """Row-sliceable sparse one-hot batch for linear algebra over requests.
+    """A batch of bid requests: sparse one-hot rows in CSR form.
 
-    Uniform-arity batches (the common case: one hot per field) use an
-    (n, k) index matrix; ragged batches fall back to concatenated
-    indices with row offsets. A ragged batch may hold empty rows (no
-    active index); `filled` then lists the non-empty rows, and is None
-    when every row has an index.
+    A batch is one index array holding every row's active indices back to
+    back, plus per-row counts. Uniform-arity batches (the common case:
+    one hot per field) keep them as an (n, k) index matrix `mat`; ragged
+    batches keep the flat `idx` with row offsets `ptr`. A ragged batch
+    may hold empty rows (no active index); `filled` then lists the
+    non-empty rows, and is None when every row has an index. The layout
+    is chosen when a batch is built; `rows` keeps it.
     """
 
-    def __init__(self, requests):
-        if len(requests) == 0:
+    __slots__ = ("width", "mat", "idx", "ptr", "filled")
+
+    def __init__(self, indices, width: int, counts=None):
+        """indices is an (n, k) index matrix or, with counts, every row's
+        indices back to back (row i holds counts[i] of them)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        self.width = int(width)
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.size and np.all(counts == counts[0]):
+                indices, counts = indices.reshape(counts.size, int(counts[0])), None
+        if (indices.shape[0] if counts is None else counts.size) == 0:
             raise DataError("cannot pack an empty request batch")
-        counts = np.array([len(r.indices) for r in requests])
-        self.width = requests[0].width
-        if np.all(counts == counts[0]):
-            self.mat = np.stack([r.indices for r in requests])
+        if counts is None:
+            self.mat = indices
             self.idx = self.ptr = self.filled = None
         else:
             self.mat = None
-            self.idx = np.concatenate([r.indices for r in requests])
+            self.idx = indices
             self._set_ptr(counts)
+
+    @classmethod
+    def from_rows(cls, rows, width: int) -> "PackedRequests":
+        """Pack a sequence of per-row index sequences."""
+        rows = [np.asarray(r, dtype=np.int64) for r in rows]
+        return cls(np.concatenate([np.zeros(0, np.int64), *rows]), width,
+                   [r.size for r in rows])
 
     def _set_ptr(self, counts) -> None:
         self.ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -607,6 +589,26 @@ class PackedRequests:
 
     def __len__(self) -> int:
         return self.mat.shape[0] if self.mat is not None else self.ptr.size - 1
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Every row's active indices, back to back."""
+        return self.mat.ravel() if self.mat is not None else self.idx
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Active indices per row."""
+        if self.mat is not None:
+            return np.full(self.mat.shape[0], self.mat.shape[1])
+        return np.diff(self.ptr)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PackedRequests)
+            and self.width == other.width
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def dot(self, w: np.ndarray) -> np.ndarray:
         """Per-row sum of w over active indices (x @ w for one-hot x)."""
@@ -626,11 +628,11 @@ class PackedRequests:
         if self.mat is not None:
             np.add.at(g, self.mat, row_values[:, None])
         else:
-            counts = np.diff(self.ptr)
-            np.add.at(g, self.idx, np.repeat(row_values, counts))
+            np.add.at(g, self.idx, np.repeat(row_values, self.counts))
         return g
 
     def rows(self, ids) -> "PackedRequests":
+        """The batch of rows ids, in that order and in this batch's layout."""
         out = object.__new__(PackedRequests)
         out.width = self.width
         if self.mat is not None:

@@ -18,7 +18,8 @@ current one. Each block is drawn in this order:
 4. under click utility, the click probabilities of the block's rows.
 
 step() only reads the next tape entry, so replaying a seed gives every
-policy the same requests, prices and click uniforms.
+policy the same requests, prices and click uniforms. An observation's
+request is the 1-row PackedRequests of its tape row.
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BidRequest, PackedRequests
+from .data import PackedRequests
 from .errors import ConfigError
 from .market_action import ClickModel, PriceModel
 
@@ -49,7 +50,7 @@ class AdvertiserState:
 
 @dataclass
 class Observation:
-    request: BidRequest
+    request: PackedRequests   # 1-row batch: this step's request
     budget_norm: float   # budget / (cpm_ref * t0_ref / 1000)
     time_norm: float     # time left / t0_ref
     budget: float
@@ -129,16 +130,15 @@ class SimEnv:
         """Draw the tape for the next min(time left, TAPE_BLOCK) steps."""
         n = min(self.state.time_left, TAPE_BLOCK)
         requests = self.sampler.sample_batch(n)
-        packed = PackedRequests(requests)
-        mu = self.price_model.mu(packed)
-        sig = self.price_model.sigma(packed)
+        mu = self.price_model.mu(requests)
+        sig = self.price_model.sigma(requests)
         self._prices = np.maximum(self.rng.normal(mu, sig), 0.0).tolist()
         self._click_u = self.rng.random(n).tolist()
-        self._click_p = (self.click_model.prob(packed).tolist()
+        self._click_p = (self.click_model.prob(requests).tolist()
                          if self.utility == "click" else None)
         self._requests = requests
         self._cursor = 0
-        self._request = requests[0]
+        self._request = requests.rows([0])
 
     def step(self, bid: float) -> StepOutcome:
         if self.done:
@@ -164,7 +164,7 @@ class SimEnv:
                 self._draw_block()
             else:
                 self._cursor = i + 1
-                self._request = self._requests[i + 1]
+                self._request = self._requests.rows([i + 1])
         return StepOutcome(self._norm_obs(), reward, cost, self.done, won, w)
 
     def budget_conservation_error(self) -> float:

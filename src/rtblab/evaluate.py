@@ -1,8 +1,9 @@
 """Evaluation protocol: independent episodes in the test environment,
 the budget-multiplier sweep, and report rendering.
 
-The agent only ever sees the observed state (request, normalized budget
-and time); market prices are drawn after the bid is committed.
+The agent only ever sees the observed state: the request (a 1-row
+PackedRequests), the normalized budget and the normalized time left.
+Market prices are drawn after the bid is committed.
 """
 
 from dataclasses import dataclass, field

@@ -173,7 +173,7 @@ class _BudgetSpent(Exception):
     """The objective was asked for one pass more than the fit's budget."""
 
 
-def _fit_price(packed, train, vpacked, val, l2, cfg):
+def _fit_price(train, val, l2, cfg):
     """Penalised censored MLE for one l2 by full-batch L-BFGS-B.
 
     The parameters are optimised in standardised units: mu in units of
@@ -200,13 +200,13 @@ def _fit_price(packed, train, vpacked, val, l2, cfg):
         passes += 1
         # line-search trial points may overflow; L-BFGS-B rejects them
         with np.errstate(all="ignore"):
-            loss, g = censored_nll(model_at(theta), packed, train.bids, train.prices,
-                                   train.wins, l2=l2)
+            loss, g = censored_nll(model_at(theta), train.requests, train.bids,
+                                   train.prices, train.wins, l2=l2)
         return loss, np.concatenate([s * g["mu_w"], [s * g["mu_b"]],
                                      g["logsig_w"], [g["logsig_b"]]])
 
     def val_nll(theta):
-        v, _ = censored_nll(model_at(theta), vpacked, val.bids, val.prices,
+        v, _ = censored_nll(model_at(theta), val.requests, val.bids, val.prices,
                             val.wins, want_grads=False)
         return v
 
@@ -232,29 +232,25 @@ def _fit_price(packed, train, vpacked, val, l2, cfg):
     return model_at(theta), info, short
 
 
-def train_price_model(train: SampleSet, val: SampleSet, rng,
-                      cfg: FitConfig = FitConfig()):
+def train_price_model(train: SampleSet, val: SampleSet, cfg: FitConfig = FitConfig()):
     """Penalised censored MLE for each l2 in cfg.l2_grid; the l2 with the
     lowest validation NLL wins.
 
     Each fit is a full-batch L-BFGS-B run from the mean and spread of the
     winning prices, allowed cfg.max_epochs evaluations of the training
     objective (one evaluation is one pass over the data), with every
-    log-sigma coefficient kept above LOGSIG_FLOOR. The fit is
-    deterministic: rng is accepted for a uniform fitter signature and
-    nothing is drawn from it. info holds the chosen l2, its passes,
-    whether it converged, its validation NLL and, when cfg.history is set,
-    its validation NLL after every L-BFGS-B iteration. A returned model
+    log-sigma coefficient kept above LOGSIG_FLOOR; it draws nothing at
+    random. info holds the chosen l2, its passes, whether it converged,
+    its validation NLL and, when cfg.history is set, its validation NLL
+    after every L-BFGS-B iteration. A returned model
     that did not converge is not the MLE and warns; a non-finite
     validation NLL raises NumericalError.
     """
     if not train.wins.any():
         raise DataError("all training auctions censored: price mean unidentifiable")
-    packed = PackedRequests(train.requests)
-    vpacked = PackedRequests(val.requests)
     best = None
     for l2 in cfg.l2_grid:
-        fit = _fit_price(packed, train, vpacked, val, l2, cfg)
+        fit = _fit_price(train, val, l2, cfg)
         v = fit[1]["val_nll"]
         if not np.isfinite(v):
             raise NumericalError(f"price fit with l2 {l2}: validation NLL is {v}")
@@ -286,9 +282,9 @@ def train_click_model(train: SampleSet, val: SampleSet, rng,
         b = float(np.log((k + 0.5) / (n - k + 0.5)))
         return ClickModel(np.zeros(train.width), b), {"prior_only": True}
 
-    packed = PackedRequests([train.requests[i] for i in tr_rows])
+    packed = train.requests.rows(tr_rows)
     if va_rows.size and np.ptp(val.clicks[va_rows].astype(float)) > 0:
-        vpacked = PackedRequests([val.requests[i] for i in va_rows])
+        vpacked = val.requests.rows(va_rows)
         vy = val.clicks[va_rows]
     else:  # fall back to scoring on train when validation is degenerate
         vpacked, vy = packed, train.clicks[tr_rows]
@@ -321,6 +317,6 @@ def train_click_model(train: SampleSet, val: SampleSet, rng,
     return best[1], best[2]
 
 
-def average_ctr(model: ClickModel, requests) -> float:
+def average_ctr(model: ClickModel, requests: PackedRequests) -> float:
     """Mean predicted click rate over a request corpus (LinBid's normalizer)."""
-    return float(model.prob(PackedRequests(list(requests))).mean())
+    return float(model.prob(requests).mean())

@@ -6,7 +6,8 @@ trained with the Wasserstein objective plus an input-gradient penalty;
 the generator descends the negated critic score through the relaxation.
 Simulation-time sampling takes the per-field argmax of a relaxed draw,
 so emitted requests are exact one-hots. Every sampler (generator,
-empirical, uniform) draws n requests with one call, sample_batch(n).
+empirical, uniform) draws n requests with one call, sample_batch(n),
+which returns them as one n-row PackedRequests.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .autodiff import (
     mlp_backward,
     mlp_forward,
 )
-from .data import BidRequest, FeatureDict
+from .data import FeatureDict, PackedRequests
 from .errors import ConfigError, NumericalError
 from .optim import AdamState, adam_step, make_mlp
 from .rng import gumbel
@@ -114,7 +115,7 @@ def _soft_seed_to_gen_grads(gen, trace, x_soft, seed, tau):
 
 
 class GeneratorSampler:
-    """Draws discrete BidRequests from a trained generator."""
+    """Draws discrete one-hot requests from a trained generator."""
 
     def __init__(self, gen: Generator, tau: float, rng):
         self.gen = gen
@@ -130,21 +131,21 @@ class GeneratorSampler:
             idx[:, j] = lo + np.argmax(x[:, lo:hi], axis=1)
         return idx
 
-    def sample_batch(self, n: int) -> list:
-        return [BidRequest(row, self.gen.width) for row in self.sample_indices(n)]
+    def sample_batch(self, n: int) -> PackedRequests:
+        return PackedRequests(self.sample_indices(n), self.gen.width)
 
 
 class EmpiricalSampler:
     """Uniform-with-replacement draws from a historical request corpus."""
 
-    def __init__(self, requests, rng):
+    def __init__(self, requests: PackedRequests, rng):
         if len(requests) == 0:
             raise ConfigError("empirical sampler needs a non-empty corpus")
-        self.requests = list(requests)
+        self.requests = requests
         self.rng = rng
 
-    def sample_batch(self, n: int) -> list:
-        return [self.requests[i] for i in self.rng.integers(len(self.requests), size=n)]
+    def sample_batch(self, n: int) -> PackedRequests:
+        return self.requests.rows(self.rng.integers(len(self.requests), size=n))
 
 
 class UniformSampler:
@@ -155,10 +156,10 @@ class UniformSampler:
         self.width = fdict.width
         self.rng = rng
 
-    def sample_batch(self, n: int) -> list:
+    def sample_batch(self, n: int) -> PackedRequests:
         idx = np.stack([self.rng.integers(lo, hi, size=n, dtype=np.int64)
                         for lo, hi in self.slices], axis=1)
-        return [BidRequest(row, self.width) for row in idx]
+        return PackedRequests(idx, self.width)
 
 
 def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
@@ -228,18 +229,14 @@ class TrainDiagnostics:
     stopped_early: bool = False
 
 
-def train_market_state_model(train_requests, val_requests, fdict: FeatureDict,
-                             cfg: WganConfig, rng):
+def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
+                             fdict: FeatureDict, cfg: WganConfig, rng):
     """Alternating WGAN loop: critic_steps critic updates, one generator
     update per iteration; stops when the validation critic gap
     stabilizes or at max_iters.
 
     Returns (generator, critic, diagnostics).
     """
-    from .data import PackedRequests
-
-    train_pk = PackedRequests(list(train_requests))
-    val_pk = PackedRequests(list(val_requests))
     n_train = len(train_pk)
 
     gen = build_generator(fdict, cfg, np.random.Generator(

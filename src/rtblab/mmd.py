@@ -13,19 +13,10 @@ from .data import PackedRequests
 from .errors import ConfigError
 
 
-def _as_dense(x) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        return np.asarray(x, dtype=np.float64)
-    return PackedRequests(list(x)).dense()
-
-
-def mmd_estimate(x, y, sigma: float = 1.0) -> float:
-    """sqrt(n) * MMD between equal-size sample sets.
-
-    Accepts (n, D) arrays or lists of BidRequests.
-    """
-    xd = _as_dense(x)
-    yd = _as_dense(y)
+def mmd_estimate(x: PackedRequests, y: PackedRequests, sigma: float = 1.0) -> float:
+    """sqrt(n) * MMD between equal-size request batches."""
+    xd = x.dense()
+    yd = y.dense()
     n = xd.shape[0]
     if n < 2 or yd.shape[0] != n:
         raise ConfigError(f"need two equal sample sets with n >= 2, got {n}, {yd.shape[0]}")
@@ -45,22 +36,20 @@ def mmd_estimate(x, y, sigma: float = 1.0) -> float:
     return float(np.sqrt(n) * np.sqrt(max(mmd_sq, 0.0)))
 
 
-def mmd_benchmark(test_requests, samplers: dict, n: int = 200,
+def mmd_benchmark(test_requests: PackedRequests, samplers: dict, n: int = 200,
                   repeats: int = 100, sigma: float = 1.0, rng=None) -> dict:
     """Mean and std of sqrt(n)*MMD between fresh test draws and each sampler.
 
-    samplers maps name -> object with sample_batch(n) -> list of n
-    BidRequests. Per repeat a fresh n-vs-n draw is taken; the reference
+    samplers maps name -> object with sample_batch(n) -> an n-row
+    PackedRequests. Per repeat a fresh n-vs-n draw is taken; the reference
     side always comes from the test corpus.
     """
-    test_requests = list(test_requests)
     if len(test_requests) == 0:
         raise ConfigError("mmd benchmark needs a non-empty test corpus")
     out = {}
     values = {name: [] for name in samplers}
     for rep in range(repeats):
-        ref_ids = rng.integers(len(test_requests), size=n)
-        ref = [test_requests[i] for i in ref_ids]
+        ref = test_requests.rows(rng.integers(len(test_requests), size=n))
         for name, sampler in samplers.items():
             values[name].append(mmd_estimate(ref, sampler.sample_batch(n), sigma))
     for name, vals in values.items():

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    BidRequest,
     DEFAULT_SCHEMA,
     FeatureDict,
     MS_PER_DAY,
+    PackedRequests,
     SampleSet,
     save_schema,
 )
@@ -65,11 +65,11 @@ class SynthTruth:
     click_w: np.ndarray
     click_b: float
 
-    def mu(self, x: BidRequest) -> float:
-        return float(self.price_mu_w[x.indices].sum() + self.price_mu_b)
+    def mu(self, x: PackedRequests) -> np.ndarray:
+        return x.dot(self.price_mu_w) + self.price_mu_b
 
-    def sigma(self, x: BidRequest) -> float:
-        return float(np.exp(self.price_logsig_w[x.indices].sum() + self.price_logsig_b))
+    def sigma(self, x: PackedRequests) -> np.ndarray:
+        return np.exp(x.dot(self.price_logsig_w) + self.price_logsig_b)
 
 
 @dataclass
@@ -86,7 +86,8 @@ def synth_feature_dict(field_dims) -> FeatureDict:
     return FeatureDict(fields, maps, min_count=1)
 
 
-def sample_requests(spec: SynthSpec, fdict: FeatureDict, n: int, rng) -> list:
+def sample_requests(spec: SynthSpec, fdict: FeatureDict, n: int, rng) -> PackedRequests:
+    """n requests, one index per field in field order."""
     weights = np.asarray(spec.mixture_weights)
     comps = rng.choice(len(weights), size=n, p=weights)
     field_cats = np.empty((n, len(spec.field_dims)), dtype=np.int64)
@@ -98,7 +99,7 @@ def sample_requests(spec: SynthSpec, fdict: FeatureDict, n: int, rng) -> list:
             probs = np.asarray(probs, dtype=np.float64)
             field_cats[rows, f_i] = rng.choice(probs.size, size=rows.size, p=probs)
     offsets = np.array([fdict.offset(f) for f in fdict.fields])
-    return [BidRequest(offsets + field_cats[i], fdict.width) for i in range(n)]
+    return PackedRequests(offsets + field_cats, fdict.width)
 
 
 def generate_synthetic_market(spec: SynthSpec, n: int, rng) -> SynthMarket:
@@ -115,15 +116,12 @@ def generate_synthetic_market(spec: SynthSpec, n: int, rng) -> SynthMarket:
 
     lo, hi = spec.logging_bid
     bids = np.full(n, float(lo)) if lo == hi else rng.uniform(lo, hi, size=n)
-    mu = np.array([truth.mu(x) for x in requests])
-    sig = np.array([truth.sigma(x) for x in requests])
-    w = np.maximum(rng.normal(mu, sig), 0.0)  # market prices are physical
+    # market prices are physical, hence the floor at 0
+    w = np.maximum(rng.normal(truth.mu(requests), truth.sigma(requests)), 0.0)
     wins = bids > w
     prices = np.where(wins, w, np.nan)
 
-    ctr_logit = np.array(
-        [truth.click_w[x.indices].sum() + truth.click_b for x in requests]
-    )
+    ctr_logit = requests.dot(truth.click_w) + truth.click_b
     clicked = rng.random(n) < 1.0 / (1.0 + np.exp(-ctr_logit))
     clicks = wins & clicked  # click observable only on impression
 
@@ -152,15 +150,14 @@ def write_synthetic_log(market: SynthMarket, log_path, schema_path) -> None:
         )
     s = market.samples
     col_for_field = dict(zip(fdict.fields, _LOG_COLUMNS))
+    # synthetic requests hold one index per field, in field order
+    offsets = np.array([fdict.offset(f) for f in fdict.fields])
+    local = (s.requests.indices.reshape(len(s), -1) - offsets).tolist()
     with open(log_path, "w", encoding="utf-8") as fh:
         for i in range(len(s)):
             cats = {c: "na" for c in _LOG_COLUMNS}
-            for f in fdict.fields:
-                local = None
-                for j in s.requests[i].indices:
-                    if fdict.offset(f) <= j < fdict.offset(f) + fdict.field_width(f):
-                        local = j - fdict.offset(f)
-                cats[col_for_field[f]] = f"c{local}"
+            for f, c in zip(fdict.fields, local[i]):
+                cats[col_for_field[f]] = f"c{c}"
             price = s.prices[i]
             pay = "" if np.isnan(price) else repr(max(float(price), 0.0))
             row = {

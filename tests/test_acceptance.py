@@ -26,7 +26,6 @@ from rtblab.agents import (
 from rtblab.autodiff import Mlp, DenseLayer, gradient_penalty, mlp_backward, mlp_forward
 from rtblab.cli import main as cli_main
 from rtblab.data import (
-    BidRequest,
     PackedRequests,
     PriceHistogram,
     SampleSet,
@@ -210,10 +209,8 @@ def test_criterion_03_censored_regression_recovery():
         censored = 1.0 - float(train.wins.mean())
         assert 0.2 < censored < 0.4  # the stated ~30% censoring regime
 
-        model, _ = train_price_model(train, val, stream(1003, "fit", seed), cfg)
-        probe = PackedRequests(
-            [BidRequest(np.array([c]), market.fdict.width) for c in range(3)]
-        )
+        model, _ = train_price_model(train, val, cfg)
+        probe = PackedRequests(np.arange(3)[:, None], market.fdict.width)
         fit_mu = model.mu(probe)
         fit_sigma = model.sigma(probe)
         # per-category mean pins slope+intercept up to the one-hot gauge
@@ -247,7 +244,8 @@ WGAN_TOY_CFG = WganConfig(
 def trained_market_model():
     market = generate_synthetic_market(TOY_MIXTURE, 8000, stream(200, "mkt"))
     reqs = market.samples.requests
-    train, val, held = reqs[:4000], reqs[4000:5000], reqs[5000:]
+    train, val, held = (reqs.rows(np.arange(lo, hi))
+                        for lo, hi in ((0, 4000), (4000, 5000), (5000, len(reqs))))
     t0 = time.perf_counter()
     gen, critic, diag = train_market_state_model(
         train, val, market.fdict, WGAN_TOY_CFG, stream(200, "train")
@@ -284,7 +282,7 @@ def test_criterion_04_market_state_model_quality(trained_market_model):
 def toy_bidding_world():
     """Two request types with deterministic prices 3 and 7; T0 = 100."""
     width = 2
-    reqs = [BidRequest(np.array([0]), width), BidRequest(np.array([1]), width)]
+    reqs = PackedRequests.from_rows([[0], [1]], width)
     price = PriceModel(np.array([3.0, 7.0]), 0.0, np.zeros(width), -20.0)
     meta = EnvMeta(split="train", cpm_ref=3000.0, t0_ref=100, w_max=7.0)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from rtblab.agents import (
     LinBidAgent,
     QNetwork,
     ReplayBuffer,
-    Transition,
     act_epsilon_greedy,
     ddqn_loss,
     epsilon_schedule,
@@ -25,16 +26,29 @@ from rtblab.agents import (
 )
 from rtblab.agents.replay import batch_arrays
 from rtblab.autodiff import mlp_forward
-from rtblab.data import BidRequest, PackedRequests, SampleSet
+from rtblab.data import PackedRequests, SampleSet
 from rtblab.env import EnvMeta, SimEnv
 from rtblab.market_action import ClickModel, PriceModel
 from rtblab.market_state import EmpiricalSampler
 from rtblab.rng import stream
 
 
+def onehot(hot, width):
+    """A 1-row request with one active index."""
+    return PackedRequests(np.array([[hot]]), width)
+
+
+def table(rows):
+    """A transition table holding rows of ReplayBuffer.push arguments."""
+    buf = ReplayBuffer()
+    for row in rows:
+        buf.push(*row)
+    return buf
+
+
 def toy_obs(width=4, hot=0, b=0.5, t=1.0):
     class Obs:
-        request = BidRequest(np.array([hot]), width)
+        request = onehot(hot, width)
         budget_norm = b
         time_norm = t
 
@@ -55,7 +69,7 @@ def const_qnet(width=3, k=4, v0=0.0, adv=None):
 def price_env_factory(price_by_index, cpm_ref, t0_ref, seed, width=None):
     """Deterministic-price environment over one request type per index."""
     width = width or len(price_by_index)
-    reqs = [BidRequest(np.array([i]), width) for i in range(len(price_by_index))]
+    reqs = PackedRequests(np.arange(len(price_by_index))[:, None], width)
     w = np.zeros(width)
     for i, v in enumerate(price_by_index):
         w[i] = v
@@ -90,7 +104,7 @@ class TestQNetwork:
     def test_dueling_identity_mean_q_equals_v(self):
         rng = stream(110, "q")
         qnet = QNetwork.build(6, rng, n_actions=5, shared=16, branch=8)
-        packed = PackedRequests([BidRequest(np.array([i % 6]), 6) for i in range(7)])
+        packed = PackedRequests(np.arange(7)[:, None] % 6, 6)
         b = rng.random(7)
         t = rng.random(7)
         q = q_forward(qnet, packed, b, t)
@@ -102,14 +116,13 @@ class TestQNetwork:
 
     def test_zero_advantage_branch_gives_v(self):
         qnet = const_qnet(v0=2.5, adv=[0.0, 0.0, 0.0, 0.0])
-        q = q_forward(qnet, PackedRequests([BidRequest(np.array([0]), 3)]),
-                      [0.3], [0.9])
+        q = q_forward(qnet, onehot(0, 3), [0.3], [0.9])
         assert np.allclose(q, 2.5)
 
     def test_recomputation_oracle(self):
         rng = stream(111, "q")
         qnet = QNetwork.build(4, rng, n_actions=6, shared=12, branch=8)
-        packed = PackedRequests([BidRequest(np.array([1]), 4)])
+        packed = onehot(1, 4)
         b, t = [0.7], [0.4]
         q = q_forward(qnet, packed, b, t)
         h1 = packed.dot(qnet.f1_w) + qnet.f1_b[0]
@@ -121,7 +134,7 @@ class TestQNetwork:
     def test_gradients_match_finite_differences(self):
         rng = stream(112, "q-fd")
         qnet = QNetwork.build(5, rng, n_actions=4, shared=8, branch=6)
-        packed = PackedRequests([BidRequest(np.array([i % 5]), 5) for i in range(3)])
+        packed = PackedRequests(np.arange(3)[:, None] % 5, 5)
         b = rng.random(3)
         t = rng.random(3)
         seed = rng.normal(size=(3, 4))
@@ -148,8 +161,7 @@ class TestQNetwork:
         rng = stream(113, "q")
         qnet = QNetwork.build(4, rng, n_actions=5, shared=8, branch=6)
         obs = toy_obs(width=4)
-        packed = PackedRequests([obs.request])
-        q = q_forward(qnet, packed, [obs.budget_norm], [obs.time_norm])[0]
+        q = q_forward(qnet, obs.request, [obs.budget_norm], [obs.time_norm])[0]
         assert np.argmax(q) == np.argmax(3.7 * q)
 
 
@@ -182,29 +194,40 @@ class TestEpsilon:
 
 class TestReplay:
     def tr(self, i):
-        req = BidRequest(np.array([i % 3]), 3)
-        return Transition(req, 0.1, 0.2, i % 4, float(i), req, 0.1, 0.1, False)
+        req = onehot(i % 3, 3)
+        return (req, 0.1, 0.2, i % 4, float(i), req, 0.1, 0.1, False)
 
     def test_ring_overwrites_oldest(self):
         buf = ReplayBuffer(capacity=5)
         for i in range(8):
-            buf.push(self.tr(i))
+            buf.push(*self.tr(i))
         assert len(buf) == 5
-        rewards = sorted(t.reward for t in buf._items)
+        rewards = sorted(buf["reward"])
         assert rewards == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_batch_without_replacement(self):
         buf = ReplayBuffer(capacity=100)
         for i in range(50):
-            buf.push(self.tr(i))
+            buf.push(*self.tr(i))
         batch = buf.sample(32, stream(117, "r"))
-        rewards = [t.reward for t in batch]
+        rewards = list(buf["reward"][batch])
         assert len(rewards) == len(set(rewards)) == 32
+
+
+    def test_columns_grow_with_the_data(self):
+        tracemalloc.start()
+        buf = ReplayBuffer()   # room for 2.5 M transitions
+        for i in range(10):
+            buf.push(*self.tr(i))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1_000_000
+        assert buf["reward"].tolist() == [float(i) for i in range(10)]
 
 
 class TestDdqnLoss:
     def batch(self, rows):
-        return batch_arrays([Transition(*r) for r in rows])
+        return batch_arrays(table(rows), np.arange(len(rows)))
 
     def test_hand_computed_two_transition_batch(self):
         k = 4
@@ -212,7 +235,7 @@ class TestDdqnLoss:
         target = const_qnet(width=3, k=k, v0=0.5, adv=[3.0, 0.0, 0.0, 0.0])
         # online Q = [0.25, 2.25, 1.25, 0.25] (argmax 1)
         # target Q = [2.75, -0.25, -0.25, -0.25]; double-Q bootstrap = -0.25
-        req = BidRequest(np.array([0]), 3)
+        req = onehot(0, 3)
         batch = self.batch([
             (req, 0.5, 1.0, 0, 1.0, req, 0.5, 0.9, False),  # target 1 - 0.25 = 0.75
             (req, 0.5, 1.0, 2, 2.0, req, 0.5, 0.9, True),   # done: target = 2
@@ -225,7 +248,7 @@ class TestDdqnLoss:
         # a plain max over the target net would bootstrap 2.75, not -0.25
         online = const_qnet(width=3, k=4, v0=1.0, adv=[0.0, 2.0, 1.0, 0.0])
         target = const_qnet(width=3, k=4, v0=0.5, adv=[3.0, 0.0, 0.0, 0.0])
-        req = BidRequest(np.array([0]), 3)
+        req = onehot(0, 3)
         batch = self.batch([(req, 0.5, 1.0, 1, 0.0, req, 0.5, 0.9, False)])
         loss, _ = ddqn_loss(online, target, batch)
         assert loss == pytest.approx((2.25 - (-0.25)) ** 2, abs=1e-10)
@@ -234,7 +257,7 @@ class TestDdqnLoss:
 
     def test_fixed_point_zero_loss(self):
         qnet = const_qnet(width=3, k=4, v0=1.0, adv=[0.0, 2.0, 1.0, 0.0])
-        req = BidRequest(np.array([0]), 3)
+        req = onehot(0, 3)
         batch = self.batch([
             (req, 0.5, 1.0, 1, 0.0, req, 0.5, 0.9, False),  # Q=2.25 = 0 + 2.25
             (req, 0.5, 1.0, 1, 2.25, req, 0.5, 0.9, True),  # Q=2.25 = r
@@ -277,12 +300,12 @@ class TestTrainDdqn:
 
 class TestLinBid:
     def test_impression_mode_constant(self):
-        assert linbid_act(12.0, BidRequest(np.array([0]), 2)) == 12.0
+        assert linbid_act(12.0, onehot(0, 2)) == 12.0
 
     def test_click_mode_scales_with_pctr(self):
         model = ClickModel(np.array([2.0, 0.0]), -1.0)
-        x_hi = BidRequest(np.array([0]), 2)
-        p_hi = float(model.prob(PackedRequests([x_hi]))[0])
+        x_hi = onehot(0, 2)
+        p_hi = float(model.prob(x_hi)[0])
         bid = linbid_act(10.0, x_hi, "click", model, avg_ctr=p_hi / 2)
         assert bid == pytest.approx(20.0)
         bid_avg = linbid_act(10.0, x_hi, "click", model, avg_ctr=p_hi)
@@ -308,7 +331,7 @@ class TestLinBid:
 
 class TestFdqi:
     def logged_samples(self, n, wins, bids, prices, width=2, clicks=None):
-        reqs = [BidRequest(np.array([i % width]), width) for i in range(n)]
+        reqs = PackedRequests(np.arange(n)[:, None] % width, width)
         return SampleSet(
             reqs, np.asarray(bids, dtype=np.float64),
             np.where(wins, np.asarray(prices, dtype=np.float64), np.nan),
@@ -322,9 +345,9 @@ class TestFdqi:
         samples = self.logged_samples(n, [False] * n, [5.0] * n, [0.0] * n)
         grid = ActionGrid.from_max_price(10.0, k=5)
         trs = fdqi_build_transitions(samples, grid, t0=5, cpm_ref=1000.0)
-        assert len(trs) == 10
-        assert all(t.reward == 0.0 for t in trs)
-        assert all(t.budget_norm == 0.0 for t in trs)  # b0 = sum costs = 0
+        assert len(trs["reward"]) == 10
+        assert np.all(trs["reward"] == 0.0)
+        assert np.all(trs["b"] == 0.0)  # b0 = sum costs = 0
 
     def test_budget_trace_conserves(self):
         rng = stream(123, "fdqi")
@@ -336,50 +359,81 @@ class TestFdqi:
         trs = fdqi_build_transitions(samples, grid, t0=20, cpm_ref=1000.0)
         scale = 1000.0 * 20 / 1000.0
         for chunk_end in (19, 39):
-            assert trs[chunk_end].done
-            assert abs(trs[chunk_end].next_budget_norm * scale) <= 1e-9
+            assert trs["done"][chunk_end]
+            assert abs(trs["next_b"][chunk_end] * scale) <= 1e-9
 
     def test_short_log_single_episode_warns(self):
         samples = self.logged_samples(7, [True] * 7, [5.0] * 7, [2.0] * 7)
         grid = ActionGrid.from_max_price(10.0, k=5)
         with pytest.warns(UserWarning):
             trs = fdqi_build_transitions(samples, grid, t0=100, cpm_ref=1000.0)
-        assert len(trs) == 7 and trs[-1].done
+        assert len(trs["reward"]) == 7 and trs["done"][-1]
 
     def test_logged_bid_maps_to_nearest_grid_action(self):
         grid = ActionGrid(np.array([1.0, 3.0, 5.0, 7.0]))
         samples = self.logged_samples(2, [True, True], [2.0, 6.9], [1.0, 5.0])
         trs = fdqi_build_transitions(samples, grid, t0=2, cpm_ref=1000.0)
-        assert trs[0].action == 0  # midpoint tie -> lower
-        assert trs[1].action == 3
+        assert trs["action"][0] == 0  # midpoint tie -> lower
+        assert trs["action"][1] == 3
+
+    def test_columns_match_a_per_record_replay(self):
+        rng = stream(127, "fdqi")
+        n, t0 = 53, 20
+        wins = rng.random(n) < 0.5
+        prices = rng.uniform(1, 9, n)
+        samples = self.logged_samples(n, wins, rng.uniform(0, 10, n), prices, width=3,
+                                      clicks=wins & (rng.random(n) < 0.3))
+        grid = ActionGrid.from_max_price(10.0, k=5)
+        trs = fdqi_build_transitions(samples, grid, t0, cpm_ref=700.0, utility="click")
+        scale = 700.0 * t0 / 1000.0
+        want = {k: [] for k in ("b", "t", "action", "reward", "next_b", "next_t",
+                                "done", "row", "next_row")}
+        for start in range(0, n - t0 + 1, t0):
+            budget = float(np.where(wins, prices, 0.0)[start : start + t0].sum())
+            for j in range(t0):
+                i = start + j
+                cost = prices[i] if wins[i] else 0.0
+                want["b"].append(budget / scale)
+                want["t"].append((t0 - j) / t0)
+                want["action"].append(int(np.argmin(np.abs(grid.values - samples.bids[i]))))
+                want["reward"].append(float(samples.clicks[i]))
+                want["next_b"].append((budget - cost) / scale)
+                want["next_t"].append((t0 - j - 1) / t0)
+                want["done"].append(j == t0 - 1)
+                want["row"].append(i)
+                want["next_row"].append(i if j == t0 - 1 else i + 1)
+                budget -= cost
+        for k in ("b", "t", "action", "reward", "next_b", "next_t", "done"):
+            assert np.array_equal(trs[k], np.array(want[k])), k
+        assert trs["packed"] == samples.requests.rows(want["row"])
+        assert trs["next_packed"] == samples.requests.rows(want["next_row"])
 
     def test_single_done_transition_regresses_to_reward(self):
-        req = BidRequest(np.array([0]), 2)
-        trs = [Transition(req, 0.4, 1.0, 1, 0.7, req, 0.4, 0.0, True)] * 20
+        req = onehot(0, 2)
+        trs = table([(req, 0.4, 1.0, 1, 0.7, req, 0.4, 0.0, True)] * 20)
         cfg = FdqiConfig(outer_iters=8, epochs_per_iter=30, batch_size=8,
                          lr=1e-2, n_actions=3, shared_width=8, branch_width=4)
         qnet, _ = fdqi_train(trs, width=2, cfg=cfg, rng=stream(124, "f"))
-        q = q_forward(qnet, PackedRequests([req]), [0.4], [1.0])[0]
+        q = q_forward(qnet, req, [0.4], [1.0])[0]
         assert q[1] == pytest.approx(0.7, abs=1e-3)
 
     def test_two_step_chain_exact_returns(self):
-        req = BidRequest(np.array([0]), 2)
+        req = onehot(0, 2)
         k = 3
-        chain = [Transition(req, 0.5, 1.0, 0, 1.0, req, 0.5, 0.5, False)]
-        chain += [Transition(req, 0.5, 0.5, a, 1.0, req, 0.5, 0.0, True)
-                  for a in range(k)]
-        trs = chain * 40
+        chain = [(req, 0.5, 1.0, 0, 1.0, req, 0.5, 0.5, False)]
+        chain += [(req, 0.5, 0.5, a, 1.0, req, 0.5, 0.0, True) for a in range(k)]
+        trs = table(chain * 40)
         cfg = FdqiConfig(outer_iters=12, epochs_per_iter=10, batch_size=32,
                          lr=5e-3, n_actions=k, shared_width=12, branch_width=8)
         qnet, _ = fdqi_train(trs, width=2, cfg=cfg, rng=stream(125, "f"))
-        q_s2 = q_forward(qnet, PackedRequests([req]), [0.5], [0.5])[0]
-        q_s1 = q_forward(qnet, PackedRequests([req]), [0.5], [1.0])[0]
+        q_s2 = q_forward(qnet, req, [0.5], [0.5])[0]
+        q_s1 = q_forward(qnet, req, [0.5], [1.0])[0]
         assert np.allclose(q_s2, 1.0, atol=1e-2)
         assert q_s1[0] == pytest.approx(2.0, abs=1e-2)
 
     def test_seed_determinism(self):
-        req = BidRequest(np.array([0]), 2)
-        trs = [Transition(req, 0.4, 1.0, 0, 0.5, req, 0.4, 0.0, True)] * 10
+        req = onehot(0, 2)
+        trs = table([(req, 0.4, 1.0, 0, 0.5, req, 0.4, 0.0, True)] * 10)
         cfg = FdqiConfig(outer_iters=2, epochs_per_iter=5, batch_size=4,
                          n_actions=3, shared_width=8, branch_width=4)
         a, _ = fdqi_train(trs, 2, cfg, stream(126, "f"))

@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from rtblab.data import (
     DEFAULT_SCHEMA,
-    BidRequest,
     DatasetStats,
     FeatureDict,
     PackedRequests,
@@ -22,7 +21,6 @@ from rtblab.data import (
     parse_log,
     save_schema,
     split_day_indices,
-    split_random_indices,
 )
 from rtblab.errors import DataError
 from rtblab.rng import stream
@@ -166,7 +164,7 @@ class TestFeatureDictionary:
         records = [make_record(city="16") for _ in range(600)] + [make_record(city="999")]
         fdict = build_feature_dictionary(records, min_count=500)
         req = featurize(make_record(city="999"), fdict)
-        assert fdict.other_index("city") in req.indices
+        assert fdict.other_index("city") in req
 
     def test_deterministic_rebuild(self):
         rng = stream(3, "dict")
@@ -196,18 +194,18 @@ class TestFeaturize:
         records = [make_record() for _ in range(10)]
         fdict = build_feature_dictionary(records, min_count=1)
         req = featurize(records[0], fdict)
-        assert len(req.indices) == len(fdict.fields)
+        assert len(req) == len(fdict.fields)
         # exactly one active index inside every field block
         for f in fdict.fields:
             lo = fdict.offset(f)
             hi = lo + fdict.field_width(f)
-            assert np.sum((req.indices >= lo) & (req.indices < hi)) == 1
+            assert np.sum((req >= lo) & (req < hi)) == 1
 
     def test_unseen_goes_other(self):
         records = [make_record() for _ in range(10)]
         fdict = build_feature_dictionary(records, min_count=1)
         req = featurize(make_record(city="unseen-city"), fdict)
-        assert fdict.other_index("city") in req.indices
+        assert fdict.other_index("city") in req
 
     def test_usertag_multihot(self):
         records = [
@@ -217,7 +215,7 @@ class TestFeaturize:
         req = featurize(records[0], fdict)
         lo = fdict.offset("usertag")
         hi = lo + fdict.field_width("usertag")
-        assert np.sum((req.indices >= lo) & (req.indices < hi)) == 2
+        assert np.sum((req >= lo) & (req < hi)) == 2
 
     def test_invariant_sweep_over_synthetic_corpus(self):
         rng = stream(4, "sweep")
@@ -231,11 +229,9 @@ class TestFeaturize:
             for _ in range(1000)
         ]
         fdict = build_feature_dictionary(records, min_count=5)
-        for rec in records:
-            req = featurize(rec, fdict)
-            dense = req.dense()
-            assert dense.sum() == len(fdict.fields)  # no usertags here
-            assert set(np.unique(dense)) <= {0.0, 1.0}
+        dense = SampleSet.from_records(records, fdict).requests.dense()
+        assert np.all(dense.sum(axis=1) == len(fdict.fields))  # no usertags here
+        assert set(np.unique(dense)) <= {0.0, 1.0}
 
 
 class TestSplits:
@@ -267,13 +263,6 @@ class TestSplits:
     def test_too_few_days_raises(self):
         with pytest.raises(DataError):
             split_day_indices(self.ts_for_days(2))
-
-    def test_random_split_reproducible(self):
-        a = split_random_indices(100, (0.6, 0.15, 0.25), stream(5, "split"))
-        b = split_random_indices(100, (0.6, 0.15, 0.25), stream(5, "split"))
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert sum(len(x) for x in a) == 100
 
 
 class TestStats:
@@ -354,8 +343,8 @@ class TestSyntheticMarket:
         # Monte-Carlo oracle: empirical win rate vs mean Phi((bid - mu)/sigma)
         spec = tobit_spec(logging_bid=(60.0, 60.0))
         market = generate_synthetic_market(spec, 10_000, stream(9, "synth"))
-        mu = np.array([market.truth.mu(x) for x in market.samples.requests])
-        sig = np.array([market.truth.sigma(x) for x in market.samples.requests])
+        mu = market.truth.mu(market.samples.requests)
+        sig = market.truth.sigma(market.samples.requests)
         expected = norm.cdf((market.samples.bids - mu) / sig).mean()
         assert abs(market.samples.wins.mean() - expected) < 0.02
 
@@ -374,6 +363,15 @@ class TestSyntheticMarket:
             else:
                 assert np.isnan(records[i].pay_price)
 
+    def test_request_sums_are_bitwise_the_per_row_sums(self):
+        # synth prices its requests with PackedRequests.dot
+        rng = stream(12, "synth-dot")
+        for k in range(5, 21):
+            w = rng.standard_normal(8 * k) * 100.0
+            mat = rng.integers(0, 8 * k, size=(300, k))
+            per_row = np.array([w[row].sum() for row in mat])
+            assert np.array_equal(PackedRequests(mat, 8 * k).dot(w), per_row), k
+
     def test_sample_set_round_trip(self, tmp_path):
         market = generate_synthetic_market(tobit_spec(), 100, stream(11, "synth"))
         market.samples.save(tmp_path / "s.tsv")
@@ -384,12 +382,11 @@ class TestSyntheticMarket:
         got = loaded.prices[loaded.wins]
         want = market.samples.prices[market.samples.wins]
         assert np.allclose(got, want)
-        for a, b in zip(loaded.requests[:20], market.samples.requests[:20]):
-            assert a == b
+        assert loaded.requests == market.samples.requests
 
 
 def requests_of(rows, width):
-    return [BidRequest(np.array(sorted(r), dtype=np.int64), width) for r in rows]
+    return PackedRequests.from_rows([sorted(r) for r in rows], width)
 
 
 @st.composite
@@ -398,20 +395,20 @@ def ragged_batches(draw):
     width = draw(st.integers(1, 10))
     rows = draw(st.lists(st.sets(st.integers(0, width - 1)), min_size=1, max_size=25))
     seed = draw(st.integers(0, 2**32 - 1))
-    return requests_of(rows, width), np.random.default_rng(seed)
+    return [sorted(r) for r in rows], width, np.random.default_rng(seed)
 
 
 class TestPackedRequests:
     def test_empty_middle_row_dots_to_zero(self):
-        packed = PackedRequests(requests_of([{0}, set(), {0}], 1))
+        packed = requests_of([{0}, set(), {0}], 1)
         assert packed.dot(np.array([3.0])).tolist() == [3.0, 0.0, 3.0]
 
     def test_empty_last_row_dots_to_zero(self):
-        packed = PackedRequests(requests_of([{0}, {0, 1}, set()], 2))
+        packed = requests_of([{0}, {0, 1}, set()], 2)
         assert packed.dot(np.array([3.0, 1.0])).tolist() == [3.0, 4.0, 0.0]
 
     def test_rows_keeps_empty_rows(self):
-        packed = PackedRequests(requests_of([{0, 1}, set(), {1}], 2))
+        packed = requests_of([{0, 1}, set(), {1}], 2)
         sub = packed.rows(np.array([1, 2, 1]))
         assert sub.dot(np.array([3.0, 1.0])).tolist() == [0.0, 1.0, 0.0]
         only_empty = packed.rows(np.array([1, 1]))
@@ -420,14 +417,50 @@ class TestPackedRequests:
     @settings(max_examples=200, deadline=None)
     @given(ragged_batches())
     def test_dot_and_scatter_match_dense(self, batch):
-        reqs, rng = batch
-        packed = PackedRequests(reqs)
-        dense = np.stack([r.dense() for r in reqs])
+        rows, width, rng = batch
+        packed = PackedRequests.from_rows(rows, width)
+        # the dense reference, built from the raw index lists
+        dense = np.zeros((len(rows), width))
+        for i, row in enumerate(rows):
+            for j in row:
+                dense[i, j] = 1.0
         w = rng.standard_normal(dense.shape[1])
         v = rng.standard_normal(dense.shape[0])
         assert np.allclose(packed.dot(w), dense @ w, rtol=1e-12, atol=1e-12)
         assert np.allclose(packed.scatter(v), dense.T @ v, rtol=1e-12, atol=1e-12)
-        ids = rng.integers(len(reqs), size=len(reqs))
+        ids = rng.integers(len(rows), size=len(rows))
         sub = packed.rows(ids)
         assert np.array_equal(sub.dense(), dense[ids])
         assert np.allclose(sub.dot(w), dense[ids] @ w, rtol=1e-12, atol=1e-12)
+
+
+class TestSampleFile:
+    def ragged_set(self):
+        rows = [[0, 2], [], [1], [0, 1, 3], [3]]
+        n = len(rows)
+        return SampleSet(
+            PackedRequests.from_rows(rows, 4),
+            np.array([10.0, 20.5, 3.25, 7.0, 1e-3]),
+            np.array([4.0, np.nan, 3.0, np.nan, 0.0]),
+            np.array([True, False, True, False, True]),
+            np.array([False, False, True, False, False]),
+            np.arange(n, dtype=np.int64) * MS_PER_DAY,
+            4,
+        )
+
+    def test_ragged_save_load_save_is_byte_identical(self, tmp_path):
+        samples = self.ragged_set()
+        samples.save(tmp_path / "a.samples")
+        loaded = SampleSet.load(tmp_path / "a.samples")
+        loaded.save(tmp_path / "b.samples")
+        assert (tmp_path / "a.samples").read_bytes() == (tmp_path / "b.samples").read_bytes()
+        assert loaded.requests == samples.requests
+        w = np.array([1.5, -2.0, 4.0, 0.25])
+        assert np.array_equal(loaded.requests.dot(w), samples.requests.dot(w))
+        assert loaded.requests.dot(w)[1] == 0.0  # the empty row
+
+    def test_unreadable_indices_raise(self, tmp_path):
+        path = tmp_path / "bad.samples"
+        path.write_text("samples 1 4\n0\t1\t0\t10.0\t4.0\t0,x\n")
+        with pytest.raises(DataError):
+            SampleSet.load(path)

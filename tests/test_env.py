@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from rtblab.data import BidRequest
+from rtblab.data import PackedRequests
 from rtblab.env import (
     TAPE_BLOCK,
     EnvMeta,
@@ -42,20 +42,20 @@ def env_over(reqs, price, seed, label="e", utility="impression", click_model=Non
 
 def two_type_env(seed, label="e", utility="impression", click_model=None):
     # request 0 -> price 3, request 1 -> price 7
-    reqs = [BidRequest(np.array([0]), 2), BidRequest(np.array([1]), 2)]
+    reqs = PackedRequests.from_rows([[0], [1]], 2)
     price = const_price_model(2, 0.0, {0: 3.0, 1: 7.0})
     return env_over(reqs, price, seed, label, utility, click_model)
 
 
 def noisy_env(seed, label="e"):
     # two request types with mean prices 3 and 7, sigma 2
-    reqs = [BidRequest(np.array([0]), 2), BidRequest(np.array([1]), 2)]
+    reqs = PackedRequests.from_rows([[0], [1]], 2)
     price = PriceModel(np.array([3.0, 7.0]), 0.0, np.zeros(2), float(np.log(2.0)))
     return env_over(reqs, price, seed, label)
 
 
 def flat_price_env(seed, mu, sigma, label="p", utility="impression", click_model=None):
-    reqs = [BidRequest(np.array([0]), 2)]
+    reqs = PackedRequests.from_rows([[0]], 2)
     price = PriceModel(np.zeros(2), mu, np.zeros(2), float(np.log(sigma)))
     return env_over(reqs, price, seed, label, utility, click_model)
 
@@ -121,7 +121,7 @@ class TestStep:
 
     def test_budget_clips_effective_bid(self):
         # b=5, bid 10 against deterministic price 7: effective 5 loses, costs 0
-        reqs = [BidRequest(np.array([0]), 1)]
+        reqs = PackedRequests.from_rows([[0]], 1)
         price = const_price_model(1, 7.0)
         env = SimEnv(
             EmpiricalSampler(reqs, stream(76, "x")),
@@ -242,8 +242,7 @@ class TestTape:
 
     def test_empty_and_multi_hot_requests_priced_per_row(self):
         # a ragged corpus with an empty request packs into every tape block
-        reqs = [BidRequest(np.array([0, 1]), 3), BidRequest(np.array([], np.int64), 3),
-                BidRequest(np.array([2]), 3)]
+        reqs = PackedRequests.from_rows([[0, 1], [], [2]], 3)
         want = {(0, 1): 3.5, (): 0.5, (2,): 4.5}
         price = PriceModel(np.array([1.0, 2.0, 4.0]), 0.5, np.zeros(3), -20.0)
         env = env_over(reqs, price, 87)
@@ -305,7 +304,7 @@ class TestClickDraws:
 
 class TestWiring:
     def parts(self, splits):
-        reqs = [BidRequest(np.array([0]), 1)]
+        reqs = PackedRequests.from_rows([[0]], 1)
         return EnvParts(
             sampler_factory=lambda rng: EmpiricalSampler(reqs, rng),
             price_model=const_price_model(1, 5.0),

@@ -10,7 +10,7 @@ from rtblab.agents import ActionGrid, QNetwork, q_forward, rlb_dp_solve
 from rtblab.cli import main as cli_main
 from rtblab.config import cfg_floats, cfg_int, config_lines, effective_config
 from rtblab.autodiff import DimensionError
-from rtblab.data import BidRequest, PackedRequests, PriceHistogram
+from rtblab.data import PackedRequests, PriceHistogram
 from rtblab.errors import ConfigError, DataError
 from rtblab.evaluate import (
     ResultRow,
@@ -28,13 +28,13 @@ from rtblab.synth import SynthSpec, generate_synthetic_market, synth_feature_dic
 
 
 def onehots(cats, width):
-    return [BidRequest(np.array([c]), width) for c in cats]
+    return PackedRequests(np.asarray(cats, dtype=np.int64)[:, None], width)
 
 
 class TestMmdEstimate:
     def test_identical_sets_zero(self):
         reqs = onehots([0, 1, 2, 0, 1], 4)
-        assert mmd_estimate(reqs, list(reqs)) == pytest.approx(0.0, abs=1e-12)
+        assert mmd_estimate(reqs, reqs) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_closed_form(self):
         # n copies of u vs n copies of v at squared distance 2 (two one-hots)
@@ -48,13 +48,13 @@ class TestMmdEstimate:
         rng = stream(130, "mmd")
         n, width = 200, 9
         fdict = synth_feature_dict((3, 4))
-        xs = [BidRequest(np.array([rng.integers(0, 3), 4 + rng.integers(0, 4)]),
-                         fdict.width) for _ in range(n)]
-        ys = [BidRequest(np.array([rng.integers(0, 3), 4 + rng.integers(0, 4)]),
-                         fdict.width) for _ in range(n)]
+        xs = PackedRequests.from_rows([[rng.integers(0, 3), 4 + rng.integers(0, 4)]
+                                       for _ in range(n)], fdict.width)
+        ys = PackedRequests.from_rows([[rng.integers(0, 3), 4 + rng.integers(0, 4)]
+                                       for _ in range(n)], fdict.width)
         sigma = 1.0
-        xd = PackedRequests(xs).dense()
-        yd = PackedRequests(ys).dense()
+        xd = xs.dense()
+        yd = ys.dense()
 
         def k(u, v):
             return np.exp(-np.sum((u - v) ** 2) / (2 * sigma * sigma))
@@ -189,6 +189,13 @@ class TestCheckpointContainer:
         assert ckpt.hash_histogram(a) != ckpt.hash_histogram(b)
         assert ckpt.hash_histogram(a) != ckpt.hash_histogram(PriceHistogram(np.zeros(0)))
 
+    def test_request_hash_is_pinned(self):
+        # digests of the per-row hash this one-pass hash replaced
+        onehot = PackedRequests.from_rows([[0, 3], [1, 4], [2, 3], [0, 4]], 5)
+        ragged = PackedRequests.from_rows([[0, 2], [], [1], [0, 1, 3]], 4)
+        assert ckpt.hash_requests(onehot) == "2a4f57ec0e1154ed"
+        assert ckpt.hash_requests(ragged) == "9cc02e73541b9e8f"
+
     def test_qnet_agent_replay_oracle(self, tmp_path):
         # a fresh process (simulated by reload) reproduces q outputs exactly
         rng = stream(136, "ck")
@@ -198,7 +205,7 @@ class TestCheckpointContainer:
         ckpt.save_qnet_agent(path, "exddqn", qnet, grid.values, "train", {"seed": 1})
         agent, manifest = ckpt.load_agent(path)
         assert manifest["agent_type"] == "exddqn"
-        packed = PackedRequests(onehots(rng.integers(0, 6, size=100), 6))
+        packed = onehots(rng.integers(0, 6, size=100), 6)
         b = rng.random(100)
         t = rng.random(100)
         q0 = q_forward(qnet, packed, b, t)
@@ -390,6 +397,23 @@ class TestCliPipeline:
         out = tmp_path / "rlb.ckpt"
         assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
                          "--set", override]) == 2
+        assert not out.exists()
+
+    def test_typo_in_set_key_exits_2_and_names_it(self, workdir, tmp_path, capsys):
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
+                         "--set", "rlb_horizn=5"]) == 2
+        assert "rlb_horizn" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_typo_in_config_file_key_exits_2_and_names_it(self, workdir, tmp_path,
+                                                          capsys):
+        cfg_file = tmp_path / "c.txt"
+        cfg_file.write_text("rlb_horizon = 5\nddqn_totl_steps = 5\n")
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
+                         "--config", str(cfg_file)]) == 2
+        assert "ddqn_totl_steps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rtblab.data import BidRequest, PackedRequests, SampleSet
+from rtblab.data import PackedRequests, SampleSet
 from rtblab.errors import DataError
 from rtblab.market_action import (
     ClickModel,
@@ -21,7 +21,7 @@ from rtblab.synth import SynthSpec, generate_synthetic_market
 
 
 def onehot_requests(cats, width):
-    return [BidRequest(np.array([c], dtype=np.int64), width) for c in cats]
+    return PackedRequests(np.asarray(cats, dtype=np.int64)[:, None], width)
 
 
 def flat_model(width, mu_b=0.0, logsig_b=0.0):
@@ -43,20 +43,20 @@ def finite_diff(f, vec, h=1e-6):
 
 class TestCensoredNll:
     def test_win_at_mean_unit_sigma(self):
-        packed = PackedRequests(onehot_requests([0], 2))
+        packed = onehot_requests([0], 2)
         model = flat_model(2, mu_b=50.0, logsig_b=0.0)
         loss, _ = censored_nll(model, packed, [60.0], [50.0], [True], want_grads=False)
         assert loss == pytest.approx(0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_deep_loss_tail_is_free(self):
-        packed = PackedRequests(onehot_requests([0], 2))
+        packed = onehot_requests([0], 2)
         model = flat_model(2, mu_b=50.0, logsig_b=0.0)  # sigma = 1
         loss, _ = censored_nll(model, packed, [40.0], [np.nan], [False], want_grads=False)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_gaussian_nll_without_censoring(self):
         rng = stream(20, "nll")
-        packed = PackedRequests(onehot_requests(rng.integers(0, 3, size=50), 3))
+        packed = onehot_requests(rng.integers(0, 3, size=50), 3)
         model = PriceModel(rng.normal(size=3), 40.0, rng.normal(scale=0.2, size=3), 1.5)
         prices = rng.uniform(10, 90, size=50)
         loss, _ = censored_nll(model, packed, prices + 10, prices,
@@ -74,14 +74,14 @@ class TestCensoredNll:
         prices = np.where(wins, bids - rng.uniform(0, 10, 30), np.nan)
         model = PriceModel(rng.normal(size=3), 45.0, np.zeros(3), 2.0)
         perm = rng.permutation(30)
-        a, _ = censored_nll(model, PackedRequests(onehot_requests(cats, 3)),
+        a, _ = censored_nll(model, onehot_requests(cats, 3),
                             bids, prices, wins, want_grads=False)
-        b, _ = censored_nll(model, PackedRequests(onehot_requests(cats[perm], 3)),
+        b, _ = censored_nll(model, onehot_requests(cats[perm], 3),
                             bids[perm], prices[perm], wins[perm], want_grads=False)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_finite_at_30_sigma(self):
-        packed = PackedRequests(onehot_requests([0, 0], 2))
+        packed = onehot_requests([0, 0], 2)
         model = flat_model(2, mu_b=0.0, logsig_b=0.0)
         loss, grads = censored_nll(model, packed, [30.0, -30.0], [np.nan, np.nan],
                                    [False, False])
@@ -92,7 +92,7 @@ class TestCensoredNll:
     def test_gradients_match_finite_differences(self):
         rng = stream(22, "nll-fd")
         cats = rng.integers(0, 3, size=40)
-        packed = PackedRequests(onehot_requests(cats, 3))
+        packed = onehot_requests(cats, 3)
         bids = rng.uniform(30, 70, 40)
         wins = rng.random(40) < 0.5
         prices = np.where(wins, bids - rng.uniform(0, 5, 40), np.nan)
@@ -133,8 +133,8 @@ class TestPriceTraining:
         censored = 1.0 - train.wins.mean()
         assert 0.15 < censored < 0.45  # meaningfully censored problem
 
-        model, info = train_price_model(train, val, stream(101, "fit"), self.CFG)
-        probe = PackedRequests(onehot_requests([0, 1, 2], market.fdict.width))
+        model, info = train_price_model(train, val, self.CFG)
+        probe = onehot_requests([0, 1, 2], market.fdict.width)
         fit_mu = model.mu(probe)
         fit_sig = model.sigma(probe)
         true_mu = np.array([110.0, 85.0, 65.0])
@@ -149,8 +149,8 @@ class TestPriceTraining:
                             np.zeros(400, bool), np.arange(400), width)
         cfg = FitConfig(lr_grid=(0.5,), l2_grid=(1e-8,), batch_size=64,
                         max_epochs=400, patience=400, history=True)
-        model, info = train_price_model(samples, samples, stream(30, "deg"), cfg)
-        probe = PackedRequests(onehot_requests([0], width))
+        model, info = train_price_model(samples, samples, cfg)
+        probe = onehot_requests([0], width)
         assert abs(float(model.mu(probe)[0]) - 50.0) < 1.0
         # sigma shrinks as the fit tightens: validation NLL non-increasing tail
         hist = np.array(info["history"])
@@ -162,12 +162,12 @@ class TestPriceTraining:
         train = market.samples.subset(idx[:1_500])
         val = market.samples.subset(idx[1_500:])
         with pytest.warns(UserWarning, match="not the MLE"):
-            _, info = train_price_model(train, val, stream(103, "fit"),
+            _, info = train_price_model(train, val,
                                         FitConfig(l2_grid=(1e-6,), max_epochs=1))
         assert info["passes"] == 1 and not info["converged"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, info = train_price_model(train, val, stream(103, "fit"), self.CFG)
+            _, info = train_price_model(train, val, self.CFG)
         assert info["converged"] and info["passes"] < self.CFG.max_epochs
 
     def test_all_censored_raises(self):
@@ -176,12 +176,12 @@ class TestPriceTraining:
         lost = SampleSet(s.requests, s.bids, np.full(len(s), np.nan),
                          np.zeros(len(s), bool), s.clicks, s.timestamps, s.width)
         with pytest.raises(DataError):
-            train_price_model(lost, lost, stream(1, "x"), self.CFG)
+            train_price_model(lost, lost, self.CFG)
 
 
 class TestClickModel:
     def test_zero_model_nll_is_log2(self):
-        packed = PackedRequests(onehot_requests([0, 1], 2))
+        packed = onehot_requests([0, 1], 2)
         loss, _ = click_nll(ClickModel(np.zeros(2), 0.0), packed, [0, 1],
                             want_grads=False)
         assert loss == pytest.approx(np.log(2), abs=1e-12)
@@ -195,7 +195,7 @@ class TestClickModel:
                             np.ones(400, bool), clicks, np.arange(400), width)
         cfg = FitConfig(lr_grid=(0.3,), l2_grid=(1e-8,), max_epochs=120, patience=10)
         model, _ = train_click_model(samples, samples, stream(40, "click"), cfg)
-        pred = model.prob(PackedRequests(reqs)) > 0.5
+        pred = model.prob(reqs) > 0.5
         assert np.array_equal(pred, clicks)
 
     def test_logistic_recovery(self):
@@ -215,7 +215,7 @@ class TestClickModel:
         model, _ = train_click_model(samples.subset(idx[:80_000]),
                                      samples.subset(idx[80_000:]),
                                      stream(41, "fit"), cfg)
-        probe = PackedRequests(onehot_requests(np.arange(10), width))
+        probe = onehot_requests(np.arange(10), width)
         fit_p = model.prob(probe)
         true_p = 1.0 / (1.0 + np.exp(-true_logit))
         assert np.all(np.abs(fit_p - true_p) / true_p < 0.10)
@@ -229,7 +229,7 @@ class TestClickModel:
         with pytest.warns(UserWarning):
             model, info = train_click_model(samples, samples, stream(42, "c"))
         assert info.get("prior_only")
-        assert float(model.prob(PackedRequests(reqs))[0]) < 0.05
+        assert float(model.prob(reqs)[0]) < 0.05
 
     def test_average_ctr(self):
         model = ClickModel(np.array([10.0, -10.0]), 0.0)

@@ -22,7 +22,7 @@ from rtblab.market_state import (
     generator_loss,
     train_market_state_model,
 )
-from rtblab.data import BidRequest
+from rtblab.data import PackedRequests
 from rtblab.optim import make_mlp
 from rtblab.rng import gumbel, stream
 from rtblab.synth import SynthSpec, generate_synthetic_market, synth_feature_dict
@@ -323,8 +323,9 @@ class TestGeneratorLoss:
 class TestTraining:
     def test_degenerate_single_atom_market(self):
         fdict = synth_feature_dict((1, 1))
-        req = BidRequest(np.array([fdict.offset("f0"), fdict.offset("f1")]), fdict.width)
-        data = [req] * 512
+        req = PackedRequests(np.array([[fdict.offset("f0"), fdict.offset("f1")]]),
+                             fdict.width)
+        data = req.rows(np.zeros(512, dtype=np.int64))
         cfg = WganConfig(batch_size=128, lr=1e-3, z_dim=8, gen_hidden=(16,),
                          critic_hidden=(16,), max_iters=600, stop_window=50)
         gen, critic, diag = train_market_state_model(
@@ -365,20 +366,19 @@ class TestTraining:
 
 class TestSamplers:
     def test_empirical_single_record(self):
-        req = BidRequest(np.array([0, 2]), 4)
-        sampler = EmpiricalSampler([req], stream(64, "emp"))
-        assert all(r == req for r in sampler.sample_batch(10))
+        req = PackedRequests(np.array([[0, 2]]), 4)
+        sampler = EmpiricalSampler(req, stream(64, "emp"))
+        assert sampler.sample_batch(10) == req.rows(np.zeros(10, dtype=np.int64))
 
     def test_empirical_frequencies(self):
-        reqs = [BidRequest(np.array([i]), 3) for i in range(3)]
-        corpus = [reqs[0]] * 6 + [reqs[1]] * 3 + [reqs[2]] * 1
+        corpus = PackedRequests.from_rows([[0]] * 6 + [[1]] * 3 + [[2]] * 1, 3)
         sampler = EmpiricalSampler(corpus, stream(65, "emp"))
-        draws = np.array([r.indices[0] for r in sampler.sample_batch(100_000)])
+        draws = sampler.sample_batch(100_000).indices
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.all(np.abs(freqs - [0.6, 0.3, 0.1]) < 0.01)
 
     def test_empirical_seed_determinism(self):
-        reqs = [BidRequest(np.array([i]), 5) for i in range(5)]
+        reqs = PackedRequests(np.arange(5)[:, None], 5)
         a = EmpiricalSampler(reqs, stream(66, "e")).sample_batch(20)
         b = EmpiricalSampler(reqs, stream(66, "e")).sample_batch(20)
         assert a == b
@@ -386,15 +386,16 @@ class TestSamplers:
     def test_uniform_sampler_stays_in_blocks(self):
         fdict = toy_fdict()
         sampler = UniformSampler(fdict, stream(67, "u"))
-        for req in sampler.sample_batch(50):
-            assert len(req.indices) == len(fdict.fields)
-            for (lo, hi), j in zip(sampler.slices, req.indices):
+        reqs = sampler.sample_batch(50)
+        assert np.all(reqs.counts == len(fdict.fields))
+        for row in reqs.indices.reshape(50, -1):
+            for (lo, hi), j in zip(sampler.slices, row):
                 assert lo <= j < hi
 
     def test_uniform_sampler_covers_every_category(self):
         fdict = toy_fdict()
         reqs = UniformSampler(fdict, stream(68, "u")).sample_batch(2000)
-        seen = np.unique(np.concatenate([r.indices for r in reqs]))
+        seen = np.unique(reqs.indices)
         assert np.array_equal(seen, np.arange(fdict.width))
 
     def test_generator_batch_matches_indices(self):
@@ -402,5 +403,5 @@ class TestSamplers:
         reqs = GeneratorSampler(gen, 0.667, stream(69, "s")).sample_batch(25)
         idx = GeneratorSampler(gen, 0.667, stream(69, "s")).sample_indices(25)
         assert len(reqs) == 25
-        assert all(r.width == gen.width for r in reqs)
-        assert np.array_equal(np.stack([r.indices for r in reqs]), idx)
+        assert reqs.width == gen.width
+        assert np.array_equal(reqs.indices.reshape(25, -1), idx)
