@@ -24,9 +24,12 @@ losses and network), go into BENCH_requests.json under --label, beside
 the labels already there; equal hashes across labels mean equal results.
 --src picks the rtblab source tree to time, so an older checkout can be
 timed into the same file: the script drives both the replay layout of
-lists of Transition objects and the columnar one. The tagged shape's
-dictionary follows Python's set order, so its hashes compare across
-labels only when PYTHONHASHSEED is fixed (it is recorded with the run).
+lists of Transition objects and the columnar one, and both Adam over one
+flat parameter vector and Adam over a list of arrays; the network hash
+reads the layers, which every tree has. In trees that number a record's
+tags in set order, the tagged shape's dictionary follows the hash seed,
+so its hashes compare across labels only when PYTHONHASHSEED is fixed
+(it is recorded with the run).
 """
 
 import contextlib
@@ -81,6 +84,25 @@ def columnar() -> bool:
     from rtblab.agents import replay
 
     return not hasattr(replay, "Transition")
+
+
+def adam(qnet):
+    """An Adam update of qnet at lr 1e-3, on the tree's parameter layout:
+    one flat vector, or the array list of trees that predate it."""
+    from rtblab.optim import AdamState, adam_step
+
+    if hasattr(qnet, "params"):
+        state = AdamState(qnet.params)
+        return lambda grads: adam_step(qnet.params, grads, state, lr=1e-3)
+    state = AdamState.for_arrays(qnet.arrays())
+    return lambda grads: adam_step(qnet.arrays(), grads, state, lr=1e-3)
+
+
+def qnet_arrays(qnet) -> list:
+    """[f1_w, f1_b, then every layer's w and b of trunk, value, advantage]."""
+    return [qnet.f1_w, qnet.f1_b] + [
+        a for net in (qnet.trunk, qnet.value, qnet.advantage)
+        for lay in net.layers for a in (lay.w, lay.b)]
 
 
 def gather_all(transitions, cols: bool):
@@ -140,7 +162,6 @@ def time_shape(shape, tmp) -> dict:
     from rtblab.agents import ActionGrid, QNetwork, ddqn_loss, fdqi_build_transitions
     from rtblab.agents.replay import batch_arrays
     from rtblab.data import SampleSet, build_feature_dictionary
-    from rtblab.optim import AdamState, adam_step
     from rtblab.rng import stream
 
     cols = columnar()
@@ -161,16 +182,16 @@ def time_shape(shape, tmp) -> dict:
         rng = stream(1, "bench", "ddqn")
         qnet = QNetwork.build(samples.width, rng)
         target = qnet.copy()
-        state = AdamState.for_arrays(qnet.arrays())
+        step = adam(qnet)
         losses = []
         start = time.perf_counter()
         for _ in range(CALLS):
             drawn = buf.sample(BATCH, rng)   # ids, or the transitions themselves
             batch = batch_arrays(buf, drawn) if cols else batch_arrays(drawn)
             loss, grads = ddqn_loss(qnet, target, batch)
-            adam_step(qnet.arrays(), grads, state, lr=1e-3)
+            step(grads)
             losses.append(loss)
-        return (time.perf_counter() - start) / CALLS, [np.array(losses)] + qnet.arrays()
+        return (time.perf_counter() - start) / CALLS, [np.array(losses)] + qnet_arrays(qnet)
 
     layers = {
         "ingest": ingest,

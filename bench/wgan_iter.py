@@ -1,12 +1,13 @@
-"""Time the WGAN-GP training layers of the market-state model at two shapes.
+"""Time the WGAN-GP training layers of the market-state model at three shapes.
 
     python3 bench/wgan_iter.py --label after
     python3 bench/wgan_iter.py --label before --src OLD_CHECKOUT/src
 
 The shapes are the learn-market benchmark's (14 fields of width 128 in
-all, multi-hot in the first field; batch 64, hidden 32, z 8) and
+all, multi-hot in the first field; batch 64, hidden 32, z 8),
 criterion 4's (the 3 + 4 category toy market; batch 256, hidden
-(64, 64, 32), z 16). At each shape it times:
+(64, 64, 32), z 16) and the paper's (the learn-market fields; batch
+1024, hidden (256, 256, 128), z 64). At each shape it times:
 
 - one WGAN iteration: `train_market_state_model` run for ITERS
   iterations, divided by ITERS (packing and building the nets included);
@@ -23,7 +24,10 @@ of the outputs (the trained nets and one critic step's gradients), go
 into BENCH_wgan_iter.json under --label, beside the labels already
 there. Every repeat of a shape must give the same hash. --src picks the
 rtblab source tree to time, so an older checkout (one whose requests are
-PackedRequests batches) can be timed into the same file.
+PackedRequests batches) can be timed into the same file. The hash reads
+the nets through their layers and streams the gradients in layer order,
+so it is the same for a tree whose gradients are one flat vector and
+for an older one whose gradients are a list of arrays.
 """
 
 import os
@@ -47,6 +51,7 @@ import numpy as np  # noqa: E402
 SHAPES = {
     "learn-market": ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 64, (32,), 8),
     "criterion-4": ((3, 4), 256, (64, 64, 32), 16),
+    "paper": ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 1024, (256, 256, 128), 64),
 }
 N_REQUESTS = 3600
 ITERS = 20
@@ -72,6 +77,10 @@ def per_call(fn) -> float:
     for _ in range(CALLS):
         fn()
     return (time.perf_counter() - start) / CALLS
+
+
+def layer_arrays(net) -> list:
+    return [a for lay in net.layers for a in (lay.w, lay.b)]
 
 
 def digest(arrays) -> str:
@@ -111,10 +120,11 @@ def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
 
     def train_once():
         out = train_market_state_model(train, val, fdict, cfg, stream(1, "bench", "train"))
-        return out[0].net.arrays() + out[1].arrays()
+        return layer_arrays(out[0].net) + layer_arrays(out[1])
 
     def critic_step():
-        return critic_loss(critic, real, fake, cfg.gp_lambda, stream(1, "bench", "gp"))[1]
+        grads = critic_loss(critic, real, fake, cfg.gp_lambda, stream(1, "bench", "gp"))[1]
+        return grads if isinstance(grads, list) else [grads]
 
     layers = {
         "critic_loss": critic_step,

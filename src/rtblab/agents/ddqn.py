@@ -65,8 +65,7 @@ class DdqnConfig:
     eps_floor: float = 0.2
     eps_scale: float = 500_000.0
     t0: int = 1000                    # episode length
-    alpha_mode: str = "log2"          # 2^U(-2,2); "linear" draws U(-2,2) directly
-    alpha_range: tuple = (-2.0, 2.0)
+    alpha_range: tuple = (-2.0, 2.0)  # budget multiplier alpha = 2^U(-2, 2)
     fixed_budget: float = None        # overrides alpha sampling when set
     n_actions: int = 20
     shared_width: int = 128
@@ -84,8 +83,7 @@ class DdqnDiagnostics:
 def _draw_budget(cfg: DdqnConfig, cpm_ref: float, rng) -> float:
     if cfg.fixed_budget is not None:
         return float(cfg.fixed_budget)
-    u = rng.uniform(*cfg.alpha_range)
-    alpha = 2.0 ** u if cfg.alpha_mode == "log2" else max(u, 0.0)
+    alpha = 2.0 ** rng.uniform(*cfg.alpha_range)
     return alpha * cpm_ref * 1e-3 * cfg.t0
 
 
@@ -101,7 +99,7 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
     qnet = QNetwork.build(width, rng, n_actions=len(grid), shared=cfg.shared_width,
                           branch=cfg.branch_width, price_model=price_model)
     target = qnet.copy()
-    state = AdamState.for_arrays(qnet.arrays())
+    state = AdamState(qnet.params)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     diag = DdqnDiagnostics()
 
@@ -132,7 +130,7 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
             loss, grads = ddqn_loss(qnet, target, batch, cfg.gamma)
             if not np.isfinite(loss):
                 raise NumericalError(f"ddqn loss non-finite at step {steps}")
-            adam_step(qnet.arrays(), grads, state, lr=cfg.lr)
+            adam_step(qnet.params, grads, state, lr=cfg.lr)
             updates += 1
             diag.losses.append(loss)
             if updates % cfg.target_sync == 0:

@@ -104,7 +104,7 @@ def fdqi_train(transitions, width: int, cfg: FdqiConfig, rng, price_model=None):
     qnet = QNetwork.build(width, rng, n_actions=cfg.n_actions,
                           shared=cfg.shared_width, branch=cfg.branch_width,
                           price_model=price_model)
-    state = AdamState.for_arrays(qnet.arrays())
+    state = AdamState(qnet.params)
 
     ids = rng.permutation(n)
     n_hold = max(1, int(cfg.holdout_fraction * n))
@@ -123,7 +123,7 @@ def fdqi_train(transitions, width: int, cfg: FdqiConfig, rng, price_model=None):
                 loss, grads = fitted_q_loss(qnet, target, batch, cfg.gamma)
                 if not np.isfinite(loss):
                     raise NumericalError(f"fdqi diverged at iteration {it}")
-                adam_step(qnet.arrays(), grads, state, lr=cfg.lr)
+                adam_step(qnet.params, grads, state, lr=cfg.lr)
         td, _ = fitted_q_loss(qnet, qnet, hold_batch, cfg.gamma)
         diag.holdout_td.append(td)
         diag.iterations = it + 1

@@ -8,6 +8,7 @@ utility theta is the predicted click rate over its corpus average.
 import numpy as np
 
 from ..errors import ConfigError
+from ..evaluate import evaluate_policy
 
 
 def linbid_act(b0: float, request, utility: str = "impression",
@@ -58,14 +59,7 @@ def linbid_tune(env_factory, grid, episodes_per_point: int, b0_eval: float,
     means = []
     for gi, base in enumerate(grid):
         agent = LinBidAgent(base, utility, click_model, avg_ctr)
-        totals = []
-        for ep in range(episodes_per_point):
-            env = env_factory(f"linbid-{gi}-{ep}")
-            obs = env.reset(b0_eval, t0)
-            while not env.done:
-                out = env.step(agent.bid(obs))
-                obs = out.observation
-            totals.append(env.total_reward)
-        means.append(float(np.mean(totals)))
+        means.append(evaluate_policy(env_factory, agent, b0_eval, t0, episodes_per_point,
+                                     label=f"linbid-{gi}").mean)
     best = int(np.argmax(means))  # first max = smallest base on ties
     return float(grid[best]), dict(zip(grid.tolist(), means))

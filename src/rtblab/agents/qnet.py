@@ -4,14 +4,15 @@ The request is bottlenecked through a single affine unit so the wide
 one-hot block cannot overpower the two scalar constraints; the bottleneck
 is initialized from the price model's mean head. A shared trunk layer
 feeds separate value and advantage branches combined as
-Q = V + (A - mean A).
+Q = V + (A - mean A). All parameters live in one vector, laid out as
+[f1_w, f1_b, trunk, value, advantage], and each part is a view into it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import Mlp, mlp_backward, mlp_forward
+from ..autodiff import Mlp, mlp_backward, mlp_forward, pack
 from ..data import PackedRequests
 from ..errors import ConfigError
 from ..optim import make_mlp
@@ -24,18 +25,22 @@ class QNetwork:
     trunk: Mlp           # 3 -> shared width
     value: Mlp           # shared -> 64 -> 1
     advantage: Mlp       # shared -> 64 -> k
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nets = (self.trunk, self.value, self.advantage)
+        self.params, views = pack([self.f1_w, self.f1_b] + [n.params for n in nets])
+        self.f1_w, self.f1_b = views[:2]
+        for net, view in zip(nets, views[2:]):
+            net.bind(view)
 
     @property
     def n_actions(self) -> int:
         return self.advantage.out_dim
 
-    def arrays(self) -> list:
-        return ([self.f1_w, self.f1_b] + self.trunk.arrays()
-                + self.value.arrays() + self.advantage.arrays())
-
     def copy(self) -> "QNetwork":
-        return QNetwork(self.f1_w.copy(), self.f1_b.copy(), self.trunk.copy(),
-                        self.value.copy(), self.advantage.copy())
+        return QNetwork(self.f1_w, self.f1_b, self.trunk.copy(), self.value.copy(),
+                        self.advantage.copy())
 
     @classmethod
     def build(cls, width: int, rng, n_actions: int = 20, shared: int = 128,
@@ -45,7 +50,7 @@ class QNetwork:
         if price_model is not None:
             if price_model.mu_w.size != width:
                 raise ConfigError("price model width does not match request width")
-            f1_w = price_model.mu_w.copy()
+            f1_w = price_model.mu_w
             f1_b = np.array([price_model.mu_b])
         else:
             r = np.sqrt(6.0 / (width + 1))
@@ -82,9 +87,9 @@ def q_forward(qnet: QNetwork, packed: PackedRequests, b_norm, t_norm,
     return q
 
 
-def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> list:
-    """Parameter gradients for a seed on the Q output (dueling combine,
-    branches, trunk, then the request bottleneck)."""
+def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> np.ndarray:
+    """Parameter gradient (laid out as qnet.params) for a seed on the Q
+    output: dueling combine, branches, trunk, then the request bottleneck."""
     packed, t_trace, v_trace, a_trace = traces
     k = qnet.n_actions
     dv = dq.sum(axis=1, keepdims=True)
@@ -93,9 +98,7 @@ def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> list:
     g_adv, d_trunk_a = mlp_backward(a_trace, da)
     g_trunk, d_in = mlp_backward(t_trace, d_trunk_v + d_trunk_a)
     dh1 = d_in[:, 0]
-    g_f1w = packed.scatter(dh1)
-    g_f1b = np.array([dh1.sum()])
-    return [g_f1w, g_f1b] + g_trunk + g_value + g_adv
+    return np.concatenate([packed.scatter(dh1), [dh1.sum()], g_trunk, g_value, g_adv])
 
 
 def q_values(qnet: QNetwork, obs) -> np.ndarray:

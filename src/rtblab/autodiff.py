@@ -2,14 +2,16 @@
 
 Everything is float64 numpy. The network family is fixed: stacks of
 affine layers with rectifier / tanh / identity activations, which covers
-every network used in the package. Gradients are computed by an explicit
+every network used in the package. A network's parameters are one flat
+vector, its layers views into it, and each parameter gradient is one
+vector in the same layout. Gradients are computed by an explicit
 layer-by-layer backward pass over a recorded trace; the second-order
 quantity needed by the critic's input-gradient penalty is computed
 forward-over-reverse (a directional derivative pushed through both the
 forward and the backward pass).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +53,23 @@ ACTIVATIONS = {
 }
 
 
+def split(flat: np.ndarray, shapes) -> list:
+    """Views into flat, one per shape, laid end to end."""
+    views, at = [], 0
+    for shape in shapes:
+        n = int(np.prod(shape))
+        views.append(flat[at : at + n].reshape(shape))
+        at += n
+    return views
+
+
+def pack(arrays) -> tuple:
+    """One new float64 vector holding the arrays end to end, and a view
+    into it shaped like each array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    return flat, split(flat, [np.shape(a) for a in arrays])
+
+
 @dataclass
 class DenseLayer:
     w: np.ndarray  # (fan_in, fan_out)
@@ -68,9 +87,11 @@ class DenseLayer:
 
 @dataclass
 class Mlp:
-    """Ordered affine+activation layers; holds one parameter set."""
+    """Ordered affine+activation layers. params holds [w1, b1, w2, b2, ...]
+    end to end, copied from the given layers, which become views into it."""
 
     layers: list
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -78,6 +99,14 @@ class Mlp:
                 raise DimensionError(
                     f"adjacent layer dims incompatible: {prev.w.shape} -> {nxt.w.shape}"
                 )
+        self.bind(pack([a for lay in self.layers for a in (lay.w, lay.b)])[0])
+
+    def bind(self, params: np.ndarray) -> None:
+        """Make the layers views into params, which holds their values."""
+        self.params = params
+        views = split(params, [a.shape for lay in self.layers for a in (lay.w, lay.b)])
+        for lay, w, b in zip(self.layers, views[::2], views[1::2]):
+            lay.w, lay.b = w, b
 
     @property
     def in_dim(self) -> int:
@@ -87,23 +116,15 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].w.shape[1]
 
-    def arrays(self) -> list:
-        """Flat [w1, b1, w2, b2, ...] view (shared storage) for the optimizer."""
-        out = []
-        for lay in self.layers:
-            out.append(lay.w)
-            out.append(lay.b)
-        return out
-
     def copy(self) -> "Mlp":
-        return Mlp([DenseLayer(l.w.copy(), l.b.copy(), l.act) for l in self.layers])
+        return Mlp([DenseLayer(l.w, l.b, l.act) for l in self.layers])
 
 
 @dataclass
 class MlpTrace:
     """Per-layer values recorded during forward for the backward passes."""
 
-    params: Mlp
+    net: Mlp
     inputs: np.ndarray        # (n, d_in)
     zs: list                  # pre-activations per layer
     acts: list                # activations per layer (post-activation)
@@ -120,20 +141,20 @@ def _as_batch(x) -> tuple:
     raise DimensionError(f"expected 1-D or 2-D input, got shape {x.shape}")
 
 
-def mlp_forward(params: Mlp, x, record: bool = False):
+def mlp_forward(net: Mlp, x, record: bool = False):
     """Evaluate the network; optionally record a trace for backward().
 
     Returns the output, or (output, trace) when record is set. A 1-D
     input yields a 1-D output.
     """
     x, squeeze = _as_batch(x)
-    if x.shape[1] != params.in_dim:
+    if x.shape[1] != net.in_dim:
         raise DimensionError(
-            f"input dim {x.shape[1]} does not match first layer ({params.in_dim})"
+            f"input dim {x.shape[1]} does not match first layer ({net.in_dim})"
         )
     a = x
     zs, acts, ds = [], [], []
-    for lay in params.layers:
+    for lay in net.layers:
         z = a @ lay.w
         z += lay.b
         fn, dfn, _ = ACTIVATIONS[lay.act]
@@ -144,7 +165,7 @@ def mlp_forward(params: Mlp, x, record: bool = False):
             ds.append(dfn(z, a))
     out = a[0] if squeeze else a
     if record:
-        return out, MlpTrace(params, x, zs, acts, ds, squeeze)
+        return out, MlpTrace(net, x, zs, acts, ds, squeeze)
     return out
 
 
@@ -152,35 +173,36 @@ def mlp_backward(trace: MlpTrace, seed, param_rows: slice = slice(None)) -> tupl
     """Pull an output seed back to parameter and input gradients.
 
     Computes d(sum(seed * output))/d(each w, b) and d/d(input).
-    Returns (grads, dinput) with grads as [dw1, db1, dw2, db2, ...].
-    The parameter gradients take only the `param_rows` share of the
-    seed; dinput covers every row.
+    Returns (grads, dinput), grads one vector [dw1, db1, dw2, db2, ...]
+    in the layout of net.params. The parameter gradients take only the
+    `param_rows` share of the seed; dinput covers every row.
     """
     if not isinstance(trace, MlpTrace) or not trace.zs:
         raise ValueError("backward needs a trace recorded by mlp_forward(record=True)")
-    params = trace.params
+    net = trace.net
     s, _ = _as_batch(seed)
     if s.shape != trace.acts[-1].shape:
         raise DimensionError(
             f"seed shape {s.shape} does not match output {trace.acts[-1].shape}"
         )
-    grads = [None] * (2 * len(params.layers))
+    grads = [None] * (2 * len(net.layers))
     d = s * trace.ds[-1]
-    for k in range(len(params.layers) - 1, -1, -1):
+    for k in range(len(net.layers) - 1, -1, -1):
         a_prev = trace.inputs if k == 0 else trace.acts[k - 1]
         d_p = d[param_rows]
         grads[2 * k] = a_prev[param_rows].T @ d_p
         grads[2 * k + 1] = d_p.sum(axis=0)
-        e = d @ params.layers[k].w.T
+        e = d @ net.layers[k].w.T
         if k > 0:
             d = e * trace.ds[k - 1]
     dinput = e[0] if trace.squeeze else e
-    return grads, dinput
+    return np.concatenate([g.ravel() for g in grads]), dinput
 
 
-def gradient_penalty(params: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tuple:
+def gradient_penalty(net: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tuple:
     """Mean (||grad_x c(x)||_2 - 1)^2 over the rows of x_hat, with its
-    parameter gradient: (mean penalty, parameter grads, per-row norms).
+    parameter gradient: (mean penalty, parameter grads in the layout of
+    net.params, per-row norms).
 
     A caller that has already run the critic passes the forward `trace`,
     whose last rows are x_hat, and the input gradient `g` of those rows
@@ -194,19 +216,19 @@ def gradient_penalty(params: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tupl
     enter, and a second-derivative term is skipped where the
     activation's second derivative is identically zero.
     """
-    if params.out_dim != 1:
+    if net.out_dim != 1:
         raise DimensionError("gradient penalty needs a scalar-output network")
     x = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
-    if x.shape[1] != params.in_dim:
+    if x.shape[1] != net.in_dim:
         raise DimensionError(
-            f"input dim {x.shape[1]} does not match critic ({params.in_dim})"
+            f"input dim {x.shape[1]} does not match critic ({net.in_dim})"
         )
     if trace is None:
-        out, trace = mlp_forward(params, x, record=True)
+        out, trace = mlp_forward(net, x, record=True)
         _, g = mlp_backward(trace, np.ones_like(out))
     n_rows = x.shape[0]
     lo = trace.inputs.shape[0] - n_rows
-    layers = params.layers
+    layers = net.layers
     ins = [trace.inputs[lo:]] + [a[lo:] for a in trace.acts[:-1]]
     acts = [a[lo:] for a in trace.acts]
     ds = [d[lo:] for d in trace.ds]
@@ -250,7 +272,7 @@ def gradient_penalty(params: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tupl
         second = second_term(k - 1, e)
         if second is not None:
             ddot = second if ddot is None else ddot + second
-    return penalty, grads, norms
+    return penalty, np.concatenate([g.ravel() for g in grads]), norms
 
 
 def _block_widths(starts, width: int) -> list:

@@ -286,7 +286,8 @@ def build_feature_dictionary(records, min_count: int) -> FeatureDict:
     """Count categories per field and keep those seen >= min_count times.
 
     Index order is deterministic: field order, then first appearance in
-    the corpus. Rarer categories fall into the per-field OTHER bucket.
+    the corpus, a record's tags taken in sorted order. Rarer categories
+    fall into the per-field OTHER bucket.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
@@ -300,7 +301,7 @@ def build_feature_dictionary(records, min_count: int) -> FeatureDict:
             if v is None:
                 continue
             if isinstance(v, frozenset):
-                for tag in v:
+                for tag in sorted(v):   # not set order, which follows the hash seed
                     counts[f][tag] = counts[f].get(tag, 0) + 1
             else:
                 counts[f][v] = counts[f].get(v, 0) + 1

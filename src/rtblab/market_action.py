@@ -94,9 +94,6 @@ class ClickModel:
     def prob(self, packed: PackedRequests) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.logit(packed)))
 
-    def copy(self) -> "ClickModel":
-        return ClickModel(self.w.copy(), self.b)
-
 
 def click_nll(model: ClickModel, packed: PackedRequests, clicks,
               l2: float = 0.0, want_grads: bool = True):
@@ -288,33 +285,33 @@ def train_click_model(train: SampleSet, val: SampleSet, rng,
         vy = val.clicks[va_rows]
     else:  # fall back to scoring on train when validation is degenerate
         vpacked, vy = packed, train.clicks[tr_rows]
+
+    def model_at(theta):   # theta = [w; b]
+        return ClickModel(theta[:-1], float(theta[-1]))
+
     best = None
     for lr in cfg.lr_grid:
         for l2 in cfg.l2_grid:
             init_rng = np.random.Generator(np.random.Philox(key=rng.integers(2**63)))
-            model = ClickModel(init_rng.standard_normal(train.width), 0.0)
-            bias_vec = np.zeros(1)
-            bias_vec[0] = model.b
-            state = AdamState.for_arrays([model.w, bias_vec])
+            theta = np.append(init_rng.standard_normal(train.width), 0.0)
+            state = AdamState(theta)
 
             def step(rows):
-                _, grads = click_nll(model, packed.rows(rows),
+                _, grads = click_nll(model_at(theta), packed.rows(rows),
                                      train.clicks[tr_rows[rows]], l2=l2)
-                adam_step([model.w, bias_vec], [grads["w"], np.array([grads["b"]])],
-                          state, lr=lr)
-                model.b = float(bias_vec[0])
+                adam_step(theta, np.append(grads["w"], grads["b"]), state, lr=lr)
 
             def score():
-                v, _ = click_nll(model, vpacked, vy, want_grads=False)
+                v, _ = click_nll(model_at(theta), vpacked, vy, want_grads=False)
                 return v
 
             v, snap, epochs, hist = _minibatch_fit(
-                tr_rows.size, init_rng, step, score, model.copy, cfg
+                tr_rows.size, init_rng, step, score, theta.copy, cfg
             )
             if best is None or v < best[0]:
                 best = (v, snap, {"lr": lr, "l2": l2, "epochs": epochs, "val_nll": v,
                                   "history": hist if cfg.history else None})
-    return best[1], best[2]
+    return model_at(best[1]), best[2]
 
 
 def average_ctr(model: ClickModel, requests: PackedRequests) -> float:

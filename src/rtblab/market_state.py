@@ -73,9 +73,6 @@ class Generator:
     def starts(self) -> tuple:
         return tuple(lo for lo, _ in self.slices)
 
-    def copy(self) -> "Generator":
-        return Generator(self.net.copy(), self.slices, self.z_dim)
-
 
 def field_slices(fdict: FeatureDict) -> tuple:
     return tuple(
@@ -105,13 +102,6 @@ def generator_forward(gen: Generator, z: np.ndarray, tau: float, noise: np.ndarr
     logits, trace = out if record else (out, None)
     x = gumbel_softmax(logits, tau, noise, gen.starts)
     return (x, trace) if record else x
-
-
-def _soft_seed_to_gen_grads(gen, trace, x_soft, seed, tau):
-    """Pull a seed on the soft sample back to generator parameter grads."""
-    dlogits = gumbel_softmax_vjp(x_soft, seed, tau, gen.starts)
-    grads, _ = mlp_backward(trace, dlogits)
-    return grads
 
 
 class GeneratorSampler:
@@ -168,7 +158,8 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
 
     Descending it maximizes the real-fake score gap. The penalty is
     evaluated at per-pair uniform interpolates of (real, fake).
-    Returns (loss, grads, parts) where parts carries the raw pieces.
+    Returns (loss, grads in the layout of critic.params, parts) where
+    parts carries the raw pieces.
 
     One forward runs over the stacked [real; fake; interpolates]. One
     backward then gives the Wasserstein parameter gradient, contracted
@@ -200,8 +191,7 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
     penalty = 0.0
     if gp_lambda > 0.0:
         penalty, p_grads, _ = gradient_penalty(critic, x_hat, trace, dinput[n:])
-        for acc, pg in zip(grads, p_grads):
-            acc += gp_lambda * pg
+        grads += gp_lambda * p_grads
 
     loss = mean_fake - mean_real + gp_lambda * penalty
     parts = {"mean_real": mean_real, "mean_fake": mean_fake, "penalty": penalty}
@@ -210,13 +200,13 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
 
 def generator_loss(gen: Generator, critic: Mlp, z: np.ndarray, tau: float,
                    noise: np.ndarray):
-    """Generator objective -mean c(soft samples), with grads through the
-    Gumbel-softmax relaxation."""
+    """Generator objective -mean c(soft samples), with grads (one vector in
+    the layout of gen.net.params) through the Gumbel-softmax relaxation."""
     x, trace = generator_forward(gen, z, tau, noise, record=True)
     scores, c_trace = mlp_forward(critic, x, record=True)
     n = x.shape[0]
     _, dx = mlp_backward(c_trace, np.full((n, 1), -1.0 / n))
-    grads = _soft_seed_to_gen_grads(gen, trace, x, dx, tau)
+    grads, _ = mlp_backward(trace, gumbel_softmax_vjp(x, dx, tau, gen.starts))
     return float(-scores.mean()), grads
 
 
@@ -243,8 +233,8 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
         np.random.Philox(key=rng.integers(2**63))))
     critic = build_critic(fdict.width, cfg, np.random.Generator(
         np.random.Philox(key=rng.integers(2**63))))
-    g_state = AdamState.for_arrays(gen.net.arrays())
-    c_state = AdamState.for_arrays(critic.arrays())
+    g_state = AdamState(gen.net.params)
+    c_state = AdamState(critic.params)
 
     # fixed validation design keeps the stopping statistic low-variance
     v_rows = np.arange(min(len(val_pk), cfg.batch_size))
@@ -265,15 +255,14 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
             c_loss, c_grads, _ = critic_loss(critic, real, fake, cfg.gp_lambda, rng)
             if not np.isfinite(c_loss):
                 raise NumericalError(f"critic loss non-finite at iteration {it}")
-            adam_step(critic.arrays(), c_grads, c_state, lr=cfg.lr,
-                      weight_decay=cfg.l2)
+            adam_step(critic.params, c_grads, c_state, lr=cfg.lr, weight_decay=cfg.l2)
 
         z = rng.standard_normal((min(cfg.batch_size, n_train), cfg.z_dim))
         noise = gumbel(rng, (z.shape[0], fdict.width))
         g_loss, g_grads = generator_loss(gen, critic, z, cfg.tau, noise)
         if not np.isfinite(g_loss):
             raise NumericalError(f"generator loss non-finite at iteration {it}")
-        adam_step(gen.net.arrays(), g_grads, g_state, lr=cfg.lr, weight_decay=cfg.l2)
+        adam_step(gen.net.params, g_grads, g_state, lr=cfg.lr, weight_decay=cfg.l2)
 
         val_fake = generator_forward(gen, val_z, cfg.tau, val_noise)
         val_scores = mlp_forward(critic, np.concatenate([val_real, val_fake]))

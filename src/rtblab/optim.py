@@ -1,32 +1,23 @@
-"""Adam optimizer and parameter initializers for the MLP family."""
-
-from dataclasses import dataclass, field
+"""Adam over one flat parameter vector, and parameter initializers for
+the MLP family."""
 
 import numpy as np
 
 from .autodiff import DenseLayer, Mlp
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators matching a parameter array list."""
+    """First/second moment accumulators for one parameter vector."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    step: int = 0
-
-    @classmethod
-    def for_arrays(cls, arrays: list) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(a) for a in arrays],
-            v=[np.zeros_like(a) for a in arrays],
-            step=0,
-        )
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.step = 0
 
 
 def adam_step(
-    arrays: list,
-    grads: list,
+    p: np.ndarray,
+    g: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -34,23 +25,22 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> AdamState:
-    """One Adam update, in place. weight_decay enters as an l2 gradient term."""
-    if len(arrays) != len(grads):
-        raise ValueError("parameter/gradient count mismatch")
+    """One Adam update of the parameter vector p, in place, from its
+    gradient g. weight_decay enters as an l2 gradient term."""
+    if p.shape != g.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(arrays, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if weight_decay:
-            g = g + weight_decay * p
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    if weight_decay:
+        g = g + weight_decay * p
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return state
 
 

@@ -58,8 +58,7 @@ def toy_obs(width=4, hot=0, b=0.5, t=1.0):
 def const_qnet(width=3, k=4, v0=0.0, adv=None):
     """All weights zero; only output biases set, so Q is input-independent."""
     qnet = QNetwork.build(width, stream(0, "const"), n_actions=k, shared=8, branch=6)
-    for arr in qnet.arrays():
-        arr[:] = 0.0
+    qnet.params[:] = 0.0
     qnet.value.layers[-1].b[:] = v0
     if adv is not None:
         qnet.advantage.layers[-1].b[:] = np.asarray(adv, dtype=np.float64)
@@ -119,6 +118,36 @@ class TestQNetwork:
         q = q_forward(qnet, onehot(0, 3), [0.3], [0.9])
         assert np.allclose(q, 2.5)
 
+    def test_parts_view_one_params_vector_in_order(self):
+        qnet = QNetwork.build(5, stream(113, "q"), n_actions=4, shared=8, branch=6)
+        parts = [qnet.f1_w, qnet.f1_b] + [
+            a for net in (qnet.trunk, qnet.value, qnet.advantage)
+            for lay in net.layers for a in (lay.w, lay.b)]
+        assert all(np.shares_memory(a, qnet.params) for a in parts)
+        assert np.array_equal(qnet.params, np.concatenate([a.ravel() for a in parts]))
+        for net in (qnet.trunk, qnet.value, qnet.advantage):
+            assert np.shares_memory(net.params, qnet.params)
+
+    def test_writing_params_changes_q_forward(self):
+        rng = stream(114, "q")
+        qnet = QNetwork.build(5, rng, n_actions=4, shared=8, branch=6)
+        packed = PackedRequests(np.arange(3)[:, None] % 5, 5)
+        b, t = rng.random(3), rng.random(3)
+        before = q_forward(qnet, packed, b, t)
+        qnet.params[-4:] += np.array([1.0, 2.0, 3.0, 6.0])   # advantage output bias
+        after = q_forward(qnet, packed, b, t)
+        assert np.allclose(after - before, [-2.0, -1.0, 0.0, 3.0])
+
+    def test_copy_shares_no_memory(self):
+        qnet = QNetwork.build(5, stream(115, "q"), n_actions=4, shared=8, branch=6)
+        dup = qnet.copy()
+        assert np.array_equal(dup.params, qnet.params)
+        assert not np.shares_memory(dup.params, qnet.params)
+        assert not np.shares_memory(dup.trunk.params, qnet.params)
+        dup.params[:] = 0.0
+        assert np.any(qnet.params != 0.0)
+        assert np.shares_memory(dup.advantage.layers[-1].b, dup.params)
+
     def test_recomputation_oracle(self):
         rng = stream(111, "q")
         qnet = QNetwork.build(4, rng, n_actions=6, shared=12, branch=8)
@@ -145,17 +174,17 @@ class TestQNetwork:
         _, traces = q_forward(qnet, packed, b, t, record=True)
         grads = q_backward(qnet, traces, seed)
         h = 1e-6
-        for arr, g in zip(qnet.arrays(), grads):
-            flat, gflat = arr.ravel(), g.ravel()
-            for i in range(0, flat.size, max(1, flat.size // 7)):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = loss()
-                flat[i] = orig - h
-                fm = loss()
-                flat[i] = orig
-                fd = (fp - fm) / (2 * h)
-                assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
+        flat = qnet.params
+        assert grads.shape == flat.shape
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = loss()
+            flat[i] = orig - h
+            fm = loss()
+            flat[i] = orig
+            fd = (fp - fm) / (2 * h)
+            assert abs(grads[i] - fd) / max(1.0, abs(fd)) < 1e-4
 
     def test_greedy_action_invariant_to_positive_scaling(self):
         rng = stream(113, "q")
@@ -294,8 +323,7 @@ class TestTrainDdqn:
         grid = ActionGrid.from_max_price(4.0, k=5)
         a, _ = train_ddqn(factory, grid, cfg, stream(120, "t"))
         b, _ = train_ddqn(factory, grid, cfg, stream(120, "t"))
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.params, b.params)
 
 
 class TestLinBid:
@@ -438,8 +466,7 @@ class TestFdqi:
                          n_actions=3, shared_width=8, branch_width=4)
         a, _ = fdqi_train(trs, 2, cfg, stream(126, "f"))
         b, _ = fdqi_train(trs, 2, cfg, stream(126, "f"))
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.params, b.params)
 
 
 def test_constant_agent():

@@ -10,6 +10,7 @@ from rtblab.autodiff import (
     gumbel_softmax_vjp,
     mlp_backward,
     mlp_forward,
+    pack,
 )
 from rtblab.optim import AdamState, adam_step, make_mlp, xavier_init
 from rtblab.rng import gumbel, stream
@@ -84,7 +85,7 @@ class TestBackward:
         x = np.array([1.0, 2.0, 3.0])
         y, trace = mlp_forward(net, x, record=True)
         grads, dx = mlp_backward(trace, np.ones(1))
-        assert np.allclose(grads[0].ravel(), x)
+        assert np.allclose(grads, [*x, 1.0])   # [dw; db]
         assert np.allclose(dx, w.ravel())
 
     def test_zero_seed(self):
@@ -92,7 +93,8 @@ class TestBackward:
         net = random_mlp(rng, [3, 4, 2], ["tanh", "identity"])
         y, trace = mlp_forward(net, rng.normal(size=3), record=True)
         grads, dx = mlp_backward(trace, np.zeros(2))
-        assert all(np.all(g == 0.0) for g in grads)
+        assert grads.shape == net.params.shape
+        assert np.all(grads == 0.0)
         assert np.all(dx == 0.0)
 
     def test_missing_trace_raises(self):
@@ -108,11 +110,10 @@ class TestBackward:
         def loss():
             return float(np.sum(seed * mlp_forward(net, x)))
 
-        fd = finite_diff_grads(loss, net.arrays())
+        fd = finite_diff_grads(loss, [net.params])[0]
         _, trace = mlp_forward(net, x, record=True)
         grads, _ = mlp_backward(trace, seed)
-        for g, f in zip(grads, fd):
-            assert np.max(scaled_err(g, f)) < 1e-6
+        assert np.max(scaled_err(grads, fd)) < 1e-6
 
 
 class TestGradientPenalty:
@@ -121,7 +122,7 @@ class TestGradientPenalty:
         net = Mlp([DenseLayer(v[:, None], np.zeros(1), "identity")])
         _, grads, norms = gradient_penalty(net, np.array([0.3, -1.2]))
         assert abs(norms[0] - 1.0) < 1e-12
-        assert all(np.max(np.abs(g)) < 1e-12 for g in grads)
+        assert np.max(np.abs(grads)) < 1e-12
 
     def test_linear_1d_closed_form(self):
         # c(x) = 2x: penalty (2-1)^2 = 1, d(penalty)/dv = 2(||v||-1) = 2
@@ -129,7 +130,7 @@ class TestGradientPenalty:
         penalty, grads, norms = gradient_penalty(net, np.array([[0.7]]))
         assert abs(penalty - 1.0) < 1e-12
         assert abs(norms[0] - 2.0) < 1e-12
-        assert abs(grads[0][0, 0] - 2.0) < 1e-12
+        assert abs(grads[0] - 2.0) < 1e-12   # d/dw; grads[1] is d/db
 
     def test_nested_finite_difference_oracle(self):
         rng = stream(10, "gp-fd")
@@ -140,10 +141,9 @@ class TestGradientPenalty:
             p, _, _ = gradient_penalty(net, x)
             return p
 
-        fd = finite_diff_grads(penalty, net.arrays(), h=1e-5)
+        fd = finite_diff_grads(penalty, [net.params], h=1e-5)[0]
         _, grads, _ = gradient_penalty(net, x)
-        for g, f in zip(grads, fd):
-            assert np.max(scaled_err(g, f)) < 1e-4
+        assert np.max(scaled_err(grads, fd)) < 1e-4
 
     def test_non_scalar_critic_raises(self):
         rng = stream(11, "gp-err")
@@ -237,37 +237,105 @@ class TestGumbelSoftmax:
             gumbel_softmax(np.zeros(3), 0.0, np.zeros(3))
 
 
+def per_array_adam(arrays, grads, ms, vs, t, lr, weight_decay):
+    """Adam written array by array: the reference for the flat update."""
+    c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for p, g, m, v in zip(arrays, grads, ms, vs):
+        if weight_decay:
+            g = g + weight_decay * p
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        p = [np.array([1.0, -2.0])]
-        state = AdamState.for_arrays(p)
-        adam_step(p, [np.zeros(2)], state, lr=0.1)
-        assert np.allclose(p[0], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        state = AdamState(p)
+        adam_step(p, np.zeros(2), state, lr=0.1)
+        assert np.allclose(p, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
-        p = [np.array([0.0, 0.0])]
-        g = [np.array([3.0, -0.25])]
-        state = AdamState.for_arrays(p)
-        adam_step(p, g, state, lr=0.1)
+        p = np.array([0.0, 0.0])
+        state = AdamState(p)
+        adam_step(p, np.array([3.0, -0.25]), state, lr=0.1)
         # first-step bias correction gives m_hat/sqrt(v_hat) = sign(g) up to eps
-        assert np.allclose(p[0], [-0.1, 0.1], atol=1e-6)
+        assert np.allclose(p, [-0.1, 0.1], atol=1e-6)
 
     def test_quadratic_descent(self):
         # 50 steps on f(w) = (w - 3)^2 from 0
-        p = [np.array([0.0])]
-        state = AdamState.for_arrays(p)
+        p = np.array([0.0])
+        state = AdamState(p)
         losses = []
         for _ in range(50):
-            losses.append(float((p[0][0] - 3.0) ** 2))
-            adam_step(p, [2.0 * (p[0] - 3.0)], state, lr=0.1)
-        assert abs(p[0][0] - 3.0) < 0.5
+            losses.append(float((p[0] - 3.0) ** 2))
+            adam_step(p, 2.0 * (p - 3.0), state, lr=0.1)
+        assert abs(p[0] - 3.0) < 0.5
         assert losses[-1] < losses[0]
 
     def test_weight_decay_shrinks_params(self):
-        p = [np.array([5.0])]
-        state = AdamState.for_arrays(p)
-        adam_step(p, [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
-        assert p[0][0] < 5.0
+        p = np.array([5.0])
+        state = AdamState(p)
+        adam_step(p, np.zeros(1), state, lr=0.1, weight_decay=0.01)
+        assert p[0] < 5.0
+
+    def test_shape_mismatch_raises(self):
+        p = np.zeros(3)
+        with pytest.raises(ValueError):
+            adam_step(p, np.zeros(2), AdamState(p), lr=0.1)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_flat_step_equals_per_array_loop_bitwise(self, weight_decay):
+        rng = stream(18, "adam-flat", weight_decay)
+        for case in range(20):
+            shapes = [tuple(rng.integers(1, 6, size=rng.integers(1, 3)))
+                      for _ in range(rng.integers(1, 6))]
+            flat, views = pack([rng.normal(size=s) for s in shapes])
+            ref = [v.copy() for v in views]
+            ms = [np.zeros_like(v) for v in views]
+            vs = [np.zeros_like(v) for v in views]
+            state = AdamState(flat)
+            for t in range(1, 6):
+                grads = [rng.normal(size=s) for s in shapes]
+                adam_step(flat, pack(grads)[0], state, lr=0.05,
+                          weight_decay=weight_decay)
+                per_array_adam(ref, grads, ms, vs, t, 0.05, weight_decay)
+                for v, r in zip(views, ref):
+                    assert np.array_equal(v, r)
+
+
+class TestFlatLayout:
+    def test_layers_view_params_in_order(self):
+        net = random_mlp(stream(19, "layout"), [3, 4, 2], ["tanh", "identity"])
+        assert net.params.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        for lay in net.layers:
+            assert np.shares_memory(lay.w, net.params)
+            assert np.shares_memory(lay.b, net.params)
+        want = np.concatenate([a.ravel() for lay in net.layers for a in (lay.w, lay.b)])
+        assert np.array_equal(net.params, want)
+
+    def test_writing_params_changes_forward(self):
+        rng = stream(20, "layout-write")
+        net = random_mlp(rng, [3, 4, 2], ["tanh", "identity"])
+        x = rng.normal(size=(5, 3))
+        before = mlp_forward(net, x)
+        net.params[-1] += 1.0   # the last output bias
+        after = mlp_forward(net, x)
+        assert np.array_equal(after[:, 0], before[:, 0])
+        assert np.allclose(after[:, 1], before[:, 1] + 1.0)
+        net.params[:] = 0.0
+        assert np.all(mlp_forward(net, x) == 0.0)
+
+    def test_copy_shares_no_memory(self):
+        net = random_mlp(stream(21, "layout-copy"), [3, 4, 2], ["relu", "identity"])
+        dup = net.copy()
+        assert np.array_equal(dup.params, net.params)
+        assert not np.shares_memory(dup.params, net.params)
+        dup.params[:] = 0.0
+        assert np.any(net.params != 0.0)
+        assert all(np.shares_memory(lay.w, dup.params) for lay in dup.layers)
 
 
 class TestXavier:

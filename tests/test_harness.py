@@ -1,16 +1,19 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rtblab
 from rtblab import checkpoint as ckpt
 from rtblab.agents import ActionGrid, QNetwork, q_forward, rlb_dp_solve
 from rtblab.cli import main as cli_main
 from rtblab.config import cfg_floats, cfg_int, config_lines, effective_config
 from rtblab.autodiff import DimensionError
-from rtblab.data import PackedRequests, PriceHistogram
+from rtblab.data import PackedRequests, PriceHistogram, load_schema
 from rtblab.errors import ConfigError, DataError
 from rtblab.evaluate import (
     ResultRow,
@@ -211,6 +214,12 @@ class TestCheckpointContainer:
         q0 = q_forward(qnet, packed, b, t)
         q1 = q_forward(agent.qnet, packed, b, t)
         assert np.array_equal(q0, q1)
+        loaded = agent.qnet
+        assert np.array_equal(loaded.params, qnet.params)
+        parts = [loaded.f1_w, loaded.f1_b] + [
+            a for net in (loaded.trunk, loaded.value, loaded.advantage)
+            for lay in net.layers for a in (lay.w, lay.b)]
+        assert all(np.shares_memory(a, loaded.params) for a in parts)
 
     def test_market_state_round_trip(self, tmp_path):
         fdict = synth_feature_dict((2, 2))
@@ -224,10 +233,11 @@ class TestCheckpointContainer:
         gen2, critic2, manifest = ckpt.load_market_state(path)
         assert manifest["iterations"] == 42
         assert gen2.slices == gen.slices
-        for a, b in zip(gen.net.arrays(), gen2.net.arrays()):
-            assert np.array_equal(a, b)
-        for a, b in zip(critic.arrays(), critic2.arrays()):
-            assert np.array_equal(a, b)
+        for net, net2 in ((gen.net, gen2.net), (critic, critic2)):
+            assert np.array_equal(net.params, net2.params)
+            for lay in net2.layers:
+                assert np.shares_memory(lay.w, net2.params)
+                assert np.shares_memory(lay.b, net2.params)
 
 
 class TestReports:
@@ -333,6 +343,31 @@ class TestCliPipeline:
                 "--set", "wgan_critic_hidden=16", "--set", "wgan_lr=1e-3",
                 "--set", "fdqi_outer=2", "--set", "linbid_episodes=2",
                 "--set", "alphas=0.5,1,2"]
+
+    def test_tagged_ingest_is_independent_of_the_hash_seed(self, workdir, tmp_path):
+        # user tags arrive as a set per record; the dictionary must not
+        # number them in Python's per-process string-hash order
+        schema = workdir / "raw" / "schema.txt"
+        col = [name for name, _ in load_schema(schema)].index("user_tags")
+        rows = []
+        for i, line in enumerate((workdir / "raw" / "log.tsv").read_text().splitlines()):
+            cells = line.split("\t")
+            cells[col] = ",".join(f"t{(3 * i + 5 * j) % 13}" for j in range(i % 5))
+            rows.append("\t".join(cells))
+        log = tmp_path / "tagged.tsv"
+        log.write_text("\n".join(rows) + "\n")
+        src = os.path.dirname(os.path.dirname(rtblab.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"data-{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "rtblab.cli", "ingest", str(log),
+                            "--schema", str(schema), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "dict.txt" in outputs[0] and "train.samples" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_full_pipeline(self, workdir):
         d = str(workdir / "data")

@@ -53,13 +53,13 @@ def unfused_critic_loss(critic, real, fake, gp_lambda, rng):
     s_fake, tr_fake = mlp_forward(critic, fake, record=True)
     g_fake, _ = mlp_backward(tr_fake, np.full((n_f, 1), 1.0 / n_f))
     g_real, _ = mlp_backward(tr_real, np.full((n_r, 1), -1.0 / n_r))
-    grads = [gf + gr for gf, gr in zip(g_fake, g_real)]
+    grads = g_fake + g_real
     penalty = 0.0
     if gp_lambda > 0.0:
         m = min(n_r, n_f)
         t = rng.random((m, 1))
         penalty, p_grads, _ = gradient_penalty(critic, t * real[:m] + (1.0 - t) * fake[:m])
-        grads = [g + gp_lambda * pg for g, pg in zip(grads, p_grads)]
+        grads = grads + gp_lambda * p_grads
     loss = float(s_fake.mean() - s_real.mean()) + gp_lambda * penalty
     return loss, grads
 
@@ -174,17 +174,16 @@ class TestCriticLoss:
 
         _, grads, _ = critic_loss(critic, real, fake, 10.0, stream(gp_rng_key, "gp"))
         h = 1e-5
-        for arr, g in zip(critic.arrays(), grads):
-            flat, gflat = arr.ravel(), g.ravel()
-            for i in range(0, flat.size, max(1, flat.size // 5)):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = loss()
-                flat[i] = orig - h
-                fm = loss()
-                flat[i] = orig
-                fd = (fp - fm) / (2 * h)
-                assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
+        flat = critic.params
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = loss()
+            flat[i] = orig - h
+            fm = loss()
+            flat[i] = orig
+            fd = (fp - fm) / (2 * h)
+            assert abs(grads[i] - fd) / max(1.0, abs(fd)) < 1e-4
 
 
     def test_relu_critic_gradients_match_finite_differences(self):
@@ -213,17 +212,16 @@ class TestCriticLoss:
         _, grads, parts = critic_loss(critic, real, fake, 10.0, stream(gp_rng_key, "gp"))
         assert parts["penalty"] > 0.0
         h = 1e-5
-        for arr, g in zip(critic.arrays(), grads):
-            flat, gflat = arr.ravel(), g.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = loss()
-                flat[i] = orig - h
-                fm = loss()
-                flat[i] = orig
-                fd = (fp - fm) / (2 * h)
-                assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
+        flat = critic.params
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = loss()
+            flat[i] = orig - h
+            fm = loss()
+            flat[i] = orig
+            fd = (fp - fm) / (2 * h)
+            assert abs(grads[i] - fd) / max(1.0, abs(fd)) < 1e-4
 
     @pytest.mark.parametrize("acts", [("relu", "relu"), ("tanh", "tanh"), ("relu", "tanh")])
     @pytest.mark.parametrize("n_real, n_fake", [(9, 6), (5, 11), (8, 8)])
@@ -241,10 +239,9 @@ class TestCriticLoss:
         assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
         # relative to the largest gradient entry: the output bias's
         # Wasserstein gradient is a sum that cancels to rounding noise
-        scale = max(np.max(np.abs(w)) for w in want_grads)
-        for g, w in zip(grads, want_grads):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) <= 1e-12 * scale
+        scale = np.max(np.abs(want_grads))
+        assert grads.shape == want_grads.shape == critic.params.shape
+        assert np.max(np.abs(grads - want_grads)) <= 1e-12 * scale
         if gp_lambda == 0.0:
             assert parts["penalty"] == 0.0
 
@@ -260,7 +257,7 @@ class TestGeneratorLoss:
         noise = gumbel(rng, (16, fdict.width))
         loss, grads = generator_loss(gen, critic, z, 0.667, noise)
         assert loss == pytest.approx(-3.0, abs=1e-12)
-        assert all(np.max(np.abs(g)) < 1e-15 for g in grads)
+        assert np.max(np.abs(grads)) < 1e-15
 
     def test_rewarded_feature_logit_pushed_up(self):
         fdict = toy_fdict()
@@ -273,7 +270,7 @@ class TestGeneratorLoss:
         z = rng.standard_normal((64, gen.z_dim))
         noise = gumbel(rng, (64, fdict.width))
         _, grads = generator_loss(gen, critic, z, 0.667, noise)
-        head_bias_grad = grads[-1]
+        head_bias_grad = grads[-fdict.width:]   # the last layer's b closes the layout
         assert head_bias_grad[j] < 0.0  # descent raises that logit
 
     def test_gradient_matches_finite_differences(self):
@@ -292,17 +289,16 @@ class TestGeneratorLoss:
 
         _, grads = generator_loss(gen, critic, z, 0.667, noise)
         h = 1e-6
-        for arr, g in zip(gen.net.arrays(), grads):
-            flat, gflat = arr.ravel(), g.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = loss()
-                flat[i] = orig - h
-                fm = loss()
-                flat[i] = orig
-                fd = (fp - fm) / (2 * h)
-                assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
+        flat = gen.net.params
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = loss()
+            flat[i] = orig - h
+            fm = loss()
+            flat[i] = orig
+            fd = (fp - fm) / (2 * h)
+            assert abs(grads[i] - fd) / max(1.0, abs(fd)) < 1e-4
 
     def test_descent_on_frozen_linear_critic(self):
         # one plain-GD step with small lr strictly decreases the loss
@@ -314,8 +310,7 @@ class TestGeneratorLoss:
         z = rng.standard_normal((32, gen.z_dim))
         noise = gumbel(rng, (32, fdict.width))
         before, grads = generator_loss(gen, critic, z, 0.667, noise)
-        for arr, g in zip(gen.net.arrays(), grads):
-            arr -= 1e-3 * g
+        gen.net.params -= 1e-3 * grads
         after, _ = generator_loss(gen, critic, z, 0.667, noise)
         assert after < before
 
@@ -358,10 +353,8 @@ class TestTraining:
                 market.fdict, cfg, stream(63, "train"),
             )
             runs.append((gen, critic))
-        for a, b in zip(runs[0][0].net.arrays(), runs[1][0].net.arrays()):
-            assert np.array_equal(a, b)
-        for a, b in zip(runs[0][1].arrays(), runs[1][1].arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(runs[0][0].net.params, runs[1][0].net.params)
+        assert np.array_equal(runs[0][1].params, runs[1][1].params)
 
 
 class TestSamplers:
