@@ -22,14 +22,16 @@ calls. The times, with the facts of the machine that ran them and hashes
 of the outputs (the sample file, every fdqi transition, the update's
 losses and network), go into BENCH_requests.json under --label, beside
 the labels already there; equal hashes across labels mean equal results.
---src picks the rtblab source tree to time, so an older checkout can be
-timed into the same file: the script drives both the replay layout of
-lists of Transition objects and the columnar one, and both Adam over one
-flat parameter vector and Adam over a list of arrays; the network hash
-reads the layers, which every tree has. In trees that number a record's
-tags in set order, the tagged shape's dictionary follows the hash seed,
-so its hashes compare across labels only when PYTHONHASHSEED is fixed
-(it is recorded with the run).
+--src picks the rtblab source tree to time, so another checkout with
+columnar replay and one flat parameter vector per network can be timed
+into the same file. The network hash reads `params`, whose layout
+([f1_w, f1_b], then each layer's w and b) gives the same bytes as the
+per-layer arrays that earlier labels hashed. The labels
+before `flat-params` were recorded from trees with other layouts, which
+this script no longer drives. In trees that number a record's tags in
+set order, the tagged shape's dictionary follows the hash seed, so its
+hashes compare across labels only when PYTHONHASHSEED is fixed (it is
+recorded with the run).
 """
 
 import contextlib
@@ -79,42 +81,7 @@ def records(shape, tmp):
     return parse_log(log, load_schema(os.path.join(raw, "schema.txt")))[0]
 
 
-def columnar() -> bool:
-    """Whether the tree under test keeps transitions in columns."""
-    from rtblab.agents import replay
-
-    return not hasattr(replay, "Transition")
-
-
-def adam(qnet):
-    """An Adam update of qnet at lr 1e-3, on the tree's parameter layout:
-    one flat vector, or the array list of trees that predate it."""
-    from rtblab.optim import AdamState, adam_step
-
-    if hasattr(qnet, "params"):
-        state = AdamState(qnet.params)
-        return lambda grads: adam_step(qnet.params, grads, state, lr=1e-3)
-    state = AdamState.for_arrays(qnet.arrays())
-    return lambda grads: adam_step(qnet.arrays(), grads, state, lr=1e-3)
-
-
-def qnet_arrays(qnet) -> list:
-    """[f1_w, f1_b, then every layer's w and b of trunk, value, advantage]."""
-    return [qnet.f1_w, qnet.f1_b] + [
-        a for net in (qnet.trunk, qnet.value, qnet.advantage)
-        for lay in net.layers for a in (lay.w, lay.b)]
-
-
-def gather_all(transitions, cols: bool):
-    """batch_arrays over every transition of an fdqi transition set."""
-    from rtblab.agents.replay import batch_arrays
-
-    if cols:
-        return batch_arrays(transitions, np.arange(len(transitions["reward"])))
-    return batch_arrays(transitions)
-
-
-def filled_buffer(samples, cols: bool):
+def filled_buffer(samples):
     """A replay buffer holding ENV_STEPS steps of random bids."""
     from rtblab.agents import replay
     from rtblab.env import EnvMeta, SimEnv
@@ -136,10 +103,7 @@ def filled_buffer(samples, cols: bool):
         nxt = out.observation
         row = (obs.request, obs.budget_norm, obs.time_norm, a, out.reward,
                nxt.request, nxt.budget_norm, nxt.time_norm, out.done)
-        if cols:
-            buf.push(*row)
-        else:
-            buf.push(replay.Transition(*row))
+        buf.push(*row)
         obs = env.reset(3000.0, T0) if out.done else nxt
     return buf
 
@@ -162,9 +126,9 @@ def time_shape(shape, tmp) -> dict:
     from rtblab.agents import ActionGrid, QNetwork, ddqn_loss, fdqi_build_transitions
     from rtblab.agents.replay import batch_arrays
     from rtblab.data import SampleSet, build_feature_dictionary
+    from rtblab.optim import AdamState, adam_step
     from rtblab.rng import stream
 
-    cols = columnar()
     recs = records(shape, tmp)
     fdict = build_feature_dictionary(recs, 1)
     path = os.path.join(tmp, f"{shape}.samples")
@@ -175,23 +139,22 @@ def time_shape(shape, tmp) -> dict:
 
     ingest()
     samples = SampleSet.load(path)
-    buf = filled_buffer(samples, cols)
+    buf = filled_buffer(samples)
 
     def ddqn_updates():
         """CALLS updates from a fresh network and sampling stream."""
         rng = stream(1, "bench", "ddqn")
         qnet = QNetwork.build(samples.width, rng)
         target = qnet.copy()
-        step = adam(qnet)
+        state = AdamState(qnet.params)
         losses = []
         start = time.perf_counter()
         for _ in range(CALLS):
-            drawn = buf.sample(BATCH, rng)   # ids, or the transitions themselves
-            batch = batch_arrays(buf, drawn) if cols else batch_arrays(drawn)
+            batch = batch_arrays(buf, buf.sample(BATCH, rng))
             loss, grads = ddqn_loss(qnet, target, batch)
-            step(grads)
+            adam_step(qnet.params, grads, state, lr=1e-3)
             losses.append(loss)
-        return (time.perf_counter() - start) / CALLS, [np.array(losses)] + qnet_arrays(qnet)
+        return (time.perf_counter() - start) / CALLS, [np.array(losses), qnet.params]
 
     layers = {
         "ingest": ingest,
@@ -205,7 +168,8 @@ def time_shape(shape, tmp) -> dict:
             times[k].append(per_call(fn))
         t, nets = ddqn_updates()
         times["ddqn_update"].append(t)
-        batch = gather_all(fdqi_build_transitions(samples, grid, T0, 30_000.0), cols)
+        trs = fdqi_build_transitions(samples, grid, T0, 30_000.0)
+        batch = batch_arrays(trs, np.arange(len(trs["reward"])))
         with open(path, "rb") as fh:
             sample_file = hashlib.sha256(fh.read()).hexdigest()
         outputs.add((

@@ -23,11 +23,12 @@ calls. The times, with the facts of the machine that ran them and a hash
 of the outputs (the trained nets and one critic step's gradients), go
 into BENCH_wgan_iter.json under --label, beside the labels already
 there. Every repeat of a shape must give the same hash. --src picks the
-rtblab source tree to time, so an older checkout (one whose requests are
-PackedRequests batches) can be timed into the same file. The hash reads
-the nets through their layers and streams the gradients in layer order,
-so it is the same for a tree whose gradients are one flat vector and
-for an older one whose gradients are a list of arrays.
+rtblab source tree to time, so another checkout whose requests are
+PackedRequests batches and whose nets and gradients are one flat vector
+each can be timed into the same file. Those vectors hold each layer's w
+and b in layer order, so the hash equals that of the labels before
+`flat-params`, recorded from trees that kept per-layer arrays, which
+this script no longer drives.
 """
 
 import os
@@ -79,10 +80,6 @@ def per_call(fn) -> float:
     return (time.perf_counter() - start) / CALLS
 
 
-def layer_arrays(net) -> list:
-    return [a for lay in net.layers for a in (lay.w, lay.b)]
-
-
 def digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -120,11 +117,10 @@ def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
 
     def train_once():
         out = train_market_state_model(train, val, fdict, cfg, stream(1, "bench", "train"))
-        return layer_arrays(out[0].net) + layer_arrays(out[1])
+        return [out[0].net.params, out[1].params]
 
     def critic_step():
-        grads = critic_loss(critic, real, fake, cfg.gp_lambda, stream(1, "bench", "gp"))[1]
-        return grads if isinstance(grads, list) else [grads]
+        return critic_loss(critic, real, fake, cfg.gp_lambda, stream(1, "bench", "gp"))[1]
 
     layers = {
         "critic_loss": critic_step,
@@ -140,7 +136,7 @@ def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
         start = time.perf_counter()
         nets = train_once()
         times["wgan_iter"].append((time.perf_counter() - start) / ITERS)
-        hashes.add(digest(nets + critic_step()))
+        hashes.add(digest(nets + [critic_step()]))
         for k, fn in layers.items():
             times[k].append(per_call(fn))
     if len(hashes) != 1:

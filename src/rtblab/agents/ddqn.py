@@ -11,14 +11,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..env import episode_budget
 from ..errors import NumericalError
 from ..optim import AdamState, adam_step
 from .base import ActionGrid
-from .qnet import QNetwork, q_backward, q_forward, q_values
+from .qnet import QNetwork, q_forward, q_values, td_regression
 from .replay import ReplayBuffer, batch_arrays
 
+BUFFER_CAPACITY = 2_500_000   # replay transitions kept
+EPS_FLOOR = 0.2               # exploration rate the schedule decays to
+ALPHA_RANGE = (-2.0, 2.0)     # budget multiplier alpha = 2^U(-2, 2)
 
-def epsilon_schedule(step: int, floor: float = 0.2, scale: float = 500_000.0) -> float:
+
+def epsilon_schedule(step: int, floor: float = EPS_FLOOR,
+                     scale: float = 500_000.0) -> float:
     """floor + (1 - floor) * exp(-step / scale)."""
     return floor + (1.0 - floor) * float(np.exp(-step / scale))
 
@@ -30,26 +36,17 @@ def act_epsilon_greedy(qnet: QNetwork, obs, eps: float, rng) -> int:
     return int(np.argmax(q_values(qnet, obs)))
 
 
-def ddqn_loss(qnet: QNetwork, target_net: QNetwork, batch: dict,
-              gamma: float = 1.0):
-    """Mean squared TD error with the double-Q target: the target network
-    evaluated at the online network's argmax action; terminal rows use r."""
-    n = batch["reward"].size
+def ddqn_loss(qnet: QNetwork, target_net: QNetwork, batch: dict):
+    """Mean squared TD error with the undiscounted double-Q target: the
+    target network evaluated at the online network's argmax action;
+    terminal rows use r."""
     q_next_online = q_forward(qnet, batch["next_packed"], batch["next_b"],
                               batch["next_t"])
     a_star = np.argmax(q_next_online, axis=1)
     q_next_target = q_forward(target_net, batch["next_packed"], batch["next_b"],
                               batch["next_t"])
-    boot = q_next_target[np.arange(n), a_star]
-    target = batch["reward"] + gamma * boot * (~batch["done"])
-
-    q, traces = q_forward(qnet, batch["packed"], batch["b"], batch["t"], record=True)
-    taken = q[np.arange(n), batch["action"]]
-    err = taken - target
-    loss = float(np.mean(err * err))
-    dq = np.zeros_like(q)
-    dq[np.arange(n), batch["action"]] = 2.0 * err / n
-    return loss, q_backward(qnet, traces, dq)
+    boot = q_next_target[np.arange(a_star.size), a_star]
+    return td_regression(qnet, batch, batch["reward"] + boot * (~batch["done"]))
 
 
 @dataclass
@@ -58,14 +55,10 @@ class DdqnConfig:
     workers: int = 4
     batch_size: int = 32
     lr: float = 1e-3
-    buffer_capacity: int = 2_500_000
     warmup_steps: int = 2000
     target_sync: int = 5000           # optimizer updates between target copies
-    gamma: float = 1.0
-    eps_floor: float = 0.2
     eps_scale: float = 500_000.0
     t0: int = 1000                    # episode length
-    alpha_range: tuple = (-2.0, 2.0)  # budget multiplier alpha = 2^U(-2, 2)
     fixed_budget: float = None        # overrides alpha sampling when set
     n_actions: int = 20
     shared_width: int = 128
@@ -83,8 +76,7 @@ class DdqnDiagnostics:
 def _draw_budget(cfg: DdqnConfig, cpm_ref: float, rng) -> float:
     if cfg.fixed_budget is not None:
         return float(cfg.fixed_budget)
-    alpha = 2.0 ** rng.uniform(*cfg.alpha_range)
-    return alpha * cpm_ref * 1e-3 * cfg.t0
+    return episode_budget(2.0 ** rng.uniform(*ALPHA_RANGE), cpm_ref, cfg.t0)
 
 
 def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
@@ -100,7 +92,7 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
                           branch=cfg.branch_width, price_model=price_model)
     target = qnet.copy()
     state = AdamState(qnet.params)
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    buffer = ReplayBuffer(BUFFER_CAPACITY)
     diag = DdqnDiagnostics()
 
     obs = []
@@ -111,7 +103,7 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
     updates = 0
     while steps < cfg.total_steps:
         for i, env in enumerate(envs):
-            eps = epsilon_schedule(steps, cfg.eps_floor, cfg.eps_scale)
+            eps = epsilon_schedule(steps, scale=cfg.eps_scale)
             a = act_epsilon_greedy(qnet, obs[i], eps, rng)
             out = env.step(float(grid.values[a]))
             buffer.push(obs[i].request, obs[i].budget_norm, obs[i].time_norm,
@@ -127,7 +119,7 @@ def train_ddqn(env_factory, grid: ActionGrid, cfg: DdqnConfig, rng,
 
         if steps >= cfg.warmup_steps and len(buffer) >= cfg.batch_size:
             batch = batch_arrays(buffer, buffer.sample(cfg.batch_size, rng))
-            loss, grads = ddqn_loss(qnet, target, batch, cfg.gamma)
+            loss, grads = ddqn_loss(qnet, target, batch)
             if not np.isfinite(loss):
                 raise NumericalError(f"ddqn loss non-finite at step {steps}")
             adam_step(qnet.params, grads, state, lr=cfg.lr)

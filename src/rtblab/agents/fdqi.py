@@ -14,27 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data import SampleSet
+from ..env import budget_norm
 from ..errors import DataError, NumericalError
 from ..optim import AdamState, adam_step
 from .base import ActionGrid
-from .qnet import QNetwork, q_backward, q_forward
+from .qnet import QNetwork, q_forward, td_regression
 from .replay import batch_arrays
 
+# share of the transitions held out to pick the best fitted iteration
+HOLDOUT_FRACTION = 0.1
 
-def fitted_q_loss(qnet: QNetwork, target_net: QNetwork, batch: dict,
-                  gamma: float = 1.0):
+
+def fitted_q_loss(qnet: QNetwork, target_net: QNetwork, batch: dict):
     """Squared error against the frozen-network target
-    r + gamma * max_a' Q_target(s', a'); terminal rows regress to r."""
-    n = batch["reward"].size
+    r + max_a' Q_target(s', a') (undiscounted); terminal rows regress to r."""
     q_next = q_forward(target_net, batch["next_packed"], batch["next_b"],
                        batch["next_t"])
-    target = batch["reward"] + gamma * q_next.max(axis=1) * (~batch["done"])
-    q, traces = q_forward(qnet, batch["packed"], batch["b"], batch["t"], record=True)
-    taken = q[np.arange(n), batch["action"]]
-    err = taken - target
-    dq = np.zeros_like(q)
-    dq[np.arange(n), batch["action"]] = 2.0 * err / n
-    return float(np.mean(err * err)), q_backward(qnet, traces, dq)
+    return td_regression(qnet, batch,
+                         batch["reward"] + q_next.max(axis=1) * (~batch["done"]))
 
 
 def fdqi_build_transitions(samples: SampleSet, grid: ActionGrid, t0: int,
@@ -58,7 +55,7 @@ def fdqi_build_transitions(samples: SampleSet, grid: ActionGrid, t0: int,
     # the budget before each step, from the episode's spend down to zero,
     # subtracting one cost at a time as the episode spends it
     budget = np.subtract.accumulate(np.column_stack([costs.sum(axis=1), costs]), axis=1)
-    budget /= max(cpm_ref * t0 / 1000.0, 1e-12)
+    budget = budget_norm(budget, cpm_ref, t0)
     time_left = np.arange(m, -1, -1) / t0
     done = np.arange(m) == m - 1
     episodes, flat = rows.shape[0], rows.ravel()
@@ -81,8 +78,6 @@ class FdqiConfig:
     epochs_per_iter: int = 2      # full passes over the data per refresh
     batch_size: int = 256
     lr: float = 1e-3
-    gamma: float = 1.0
-    holdout_fraction: float = 0.1
     n_actions: int = 20
     shared_width: int = 128
     branch_width: int = 64
@@ -107,7 +102,7 @@ def fdqi_train(transitions, width: int, cfg: FdqiConfig, rng, price_model=None):
     state = AdamState(qnet.params)
 
     ids = rng.permutation(n)
-    n_hold = max(1, int(cfg.holdout_fraction * n))
+    n_hold = max(1, int(HOLDOUT_FRACTION * n))
     hold = ids[:n_hold]
     train = ids[n_hold:] if n > n_hold else hold
     hold_batch = batch_arrays(transitions, hold)
@@ -120,11 +115,11 @@ def fdqi_train(transitions, width: int, cfg: FdqiConfig, rng, price_model=None):
             order = rng.permutation(len(train))
             for s in range(0, len(train), cfg.batch_size):
                 batch = batch_arrays(transitions, train[order[s : s + cfg.batch_size]])
-                loss, grads = fitted_q_loss(qnet, target, batch, cfg.gamma)
+                loss, grads = fitted_q_loss(qnet, target, batch)
                 if not np.isfinite(loss):
                     raise NumericalError(f"fdqi diverged at iteration {it}")
                 adam_step(qnet.params, grads, state, lr=cfg.lr)
-        td, _ = fitted_q_loss(qnet, qnet, hold_batch, cfg.gamma)
+        td, _ = fitted_q_loss(qnet, qnet, hold_batch)
         diag.holdout_td.append(td)
         diag.iterations = it + 1
         if best is None or td < best[0]:

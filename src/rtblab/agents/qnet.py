@@ -101,6 +101,19 @@ def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> np.ndarray:
     return np.concatenate([packed.scatter(dh1), [dh1.sum()], g_trunk, g_value, g_adv])
 
 
+def td_regression(qnet: QNetwork, batch: dict, target: np.ndarray):
+    """Mean squared error of Q on each transition's taken action against
+    target, and its gradient: the step shared by the DDQN and fitted-Q
+    losses, which differ only in their target."""
+    n = target.size
+    q, traces = q_forward(qnet, batch["packed"], batch["b"], batch["t"], record=True)
+    taken = q[np.arange(n), batch["action"]]
+    err = taken - target
+    dq = np.zeros_like(q)
+    dq[np.arange(n), batch["action"]] = 2.0 * err / n
+    return float(np.mean(err * err)), q_backward(qnet, traces, dq)
+
+
 def q_values(qnet: QNetwork, obs) -> np.ndarray:
     """Q-row for a single environment observation."""
     return q_forward(qnet, obs.request, [obs.budget_norm], [obs.time_norm])[0]

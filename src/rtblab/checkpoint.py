@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from .autodiff import DenseLayer, Mlp
-from .data import FeatureDict
 from .errors import DataError
 from .market_action import ClickModel, PriceModel
 from .market_state import Generator
@@ -56,6 +55,10 @@ def load_checkpoint(path):
             payload = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    except ValueError as exc:   # a header that is not UTF-8 JSON
+        raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    if not isinstance(head, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
     if hashlib.sha256(payload).hexdigest() != head.get("sha256"):
         raise DataError(f"{path}: integrity hash mismatch (truncated or corrupt)")
     arrays = {}

@@ -44,7 +44,7 @@ from .data import (
     parse_log,
     split_day_indices,
 )
-from .env import EnvMeta, EnvParts, make_test_env, make_train_env
+from .env import EnvMeta, EnvParts, episode_budget, make_env_factory
 from .errors import ConfigError, DataError, NumericalError
 from .evaluate import budget_sweep, write_report
 from .market_action import FitConfig, average_ctr, train_click_model, train_price_model
@@ -89,10 +89,9 @@ def cmd_synth(args):
     write_synthetic_log(market, _data_path(args.out, "log.tsv"),
                         _data_path(args.out, "schema.txt"))
     with open(_data_path(args.out, "truth.txt"), "w", encoding="utf-8") as fh:
-        t = market.truth
-        fh.write(f"price_mu_b = {t.price_mu_b!r}\n")
-        fh.write(f"price_logsig_b = {t.price_logsig_b!r}\n")
-        fh.write(f"click_b = {t.click_b!r}\n")
+        fh.write(f"price_mu_b = {market.price.mu_b!r}\n")
+        fh.write(f"price_logsig_b = {market.price.logsig_b!r}\n")
+        fh.write(f"click_b = {market.click.b!r}\n")
         fh.write(f"n = {n}\nseed = {seed}\n")
     print(f"wrote {n} synthetic records to {args.out}")
     return 0
@@ -197,7 +196,17 @@ def cmd_train_click(args):
     return 0
 
 
-def _env_parts(args, cfg, split) -> tuple:
+def _sampler_tau(manifest) -> float:
+    """The Gumbel-softmax temperature a market-state checkpoint was trained at."""
+    return float(manifest["config"].get("wgan_tau", WganConfig.tau))
+
+
+def _action_grid(train_stats) -> ActionGrid:
+    """The bid grid over the train split's price range."""
+    return ActionGrid.from_max_price(max(train_stats.w_max, 1.0))
+
+
+def _env_parts(args, cfg) -> tuple:
     """Wire EnvParts from checkpoints; returns (parts, price_model, grid)."""
     gen, _, m_manifest = ckpt.load_market_state(args.market)
     price, p_manifest = ckpt.load_price_model(args.price)
@@ -205,34 +214,26 @@ def _env_parts(args, cfg, split) -> tuple:
     if getattr(args, "click", None):
         click, c_manifest = ckpt.load_click_model(args.click)
     train_stats = _load_stats(args.data, "train")
-    tau = float(m_manifest["config"].get("wgan_tau", "0.667"))
+    tau = _sampler_tau(m_manifest)
 
     def sampler_factory(rng):
         return GeneratorSampler(gen, tau, rng)
 
-    meta = EnvMeta(
-        split=split,
-        data_hash=m_manifest.get("data_hash", ""),
-        cpm_ref=train_stats.cpm,
-        t0_ref=cfg_int(cfg, "t0"),
-        w_max=train_stats.w_max,
-        sampler_kind="generator",
-    )
+    meta = EnvMeta(cpm_ref=train_stats.cpm, t0_ref=cfg_int(cfg, "t0"))
     splits = {"market": m_manifest["split"], "price": p_manifest["split"]}
     if c_manifest:
         splits["click"] = c_manifest["split"]
     parts = EnvParts(sampler_factory, price, click, meta, splits)
-    grid = ActionGrid.from_max_price(max(train_stats.w_max, 1.0))
-    return parts, price, grid
+    return parts, price, _action_grid(train_stats)
 
 
 def cmd_train_agent(args):
     cfg = _cfg(args)
-    parts, price, grid = _env_parts(args, cfg, "train")
+    parts, price, grid = _env_parts(args, cfg)
     utility = cfg["utility"]
     seed = cfg_int(cfg, "seed")
     if args.agent == "exddqn":
-        factory = make_train_env(parts, utility, seed)
+        factory = make_env_factory(parts, utility, seed, "train")
         dcfg = DdqnConfig(
             total_steps=cfg_int(cfg, "ddqn_total_steps"),
             workers=cfg_int(cfg, "ddqn_workers"),
@@ -268,14 +269,14 @@ def cmd_train_agent(args):
 
 def cmd_tune_linbid(args):
     cfg = _cfg(args)
-    parts, _, _ = _env_parts(args, cfg, "train")
+    parts, _, _ = _env_parts(args, cfg)
     utility = cfg["utility"]
     seed = cfg_int(cfg, "seed")
-    factory = make_train_env(parts, utility, seed)
+    factory = make_env_factory(parts, utility, seed, "train")
     train_stats = _load_stats(args.data, "train")
     grid = default_base_grid(train_stats.histogram)
     t0 = cfg_int(cfg, "t0")
-    b0_eval = train_stats.cpm * t0 / 1000.0
+    b0_eval = episode_budget(1.0, train_stats.cpm, t0)
     click_model, avg = None, None
     if utility == "click":
         click_model, _ = ckpt.load_click_model(args.click)
@@ -295,8 +296,8 @@ def cmd_solve_rlb(args):
         raise DataError("cannot solve the bidder against an empty price histogram")
     horizon = cfg_int(cfg, "rlb_horizon")
     alpha_max = max(cfg_floats(cfg, "alphas"))
-    max_budget = int(np.ceil(alpha_max * train_stats.cpm * horizon / 1000.0)) * 2
-    grid = ActionGrid.from_max_price(max(train_stats.w_max, 1.0))
+    max_budget = int(np.ceil(episode_budget(alpha_max, train_stats.cpm, horizon))) * 2
+    grid = _action_grid(train_stats)
     tables = rlb_dp_solve(m, horizon, max_budget, grid)
     ckpt.save_rlb_agent(args.out, tables, grid.values,
                         ckpt.hash_histogram(m), "train", cfg)
@@ -306,10 +307,10 @@ def cmd_solve_rlb(args):
 
 def cmd_evaluate(args):
     cfg = _cfg(args)
-    parts, _, _ = _env_parts(args, cfg, "test")
+    parts, _, _ = _env_parts(args, cfg)
     utility = cfg["utility"]
     seed = cfg_int(cfg, "seed")
-    factory = make_test_env(parts, utility, seed)
+    factory = make_env_factory(parts, utility, seed, "test")
     test_stats = _load_stats(args.data, "test")
     agents = {}
     for path in args.agents:
@@ -334,10 +335,10 @@ def cmd_mmd(args):
     test = _load_split(args.data, "test")
     gen, _, m_manifest = ckpt.load_market_state(args.model)
     seed = cfg_int(cfg, "seed")
-    tau = float(m_manifest["config"].get("wgan_tau", "0.667"))
     samplers = {
         "test": EmpiricalSampler(test.requests, stream(seed, "mmd", "test")),
-        "model": GeneratorSampler(gen, tau, stream(seed, "mmd", "model")),
+        "model": GeneratorSampler(gen, _sampler_tau(m_manifest),
+                                  stream(seed, "mmd", "model")),
         "uniform": UniformSampler(fdict, stream(seed, "mmd", "uniform")),
     }
     rows = mmd_benchmark(test.requests, samplers, n=cfg_int(cfg, "mmd_n"),

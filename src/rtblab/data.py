@@ -268,17 +268,20 @@ class FeatureDict:
             raise DataError(f"cannot read feature dictionary {path}: {exc}") from exc
         if not lines or not lines[0].startswith("featuredict"):
             raise DataError(f"{path} is not a feature dictionary file")
-        min_count = int(lines[1].split()[1])
-        fields, maps = [], {}
-        i = 2
-        while i < len(lines):
-            tag, name, n = lines[i].split()
-            if tag != "field":
-                raise DataError(f"bad dictionary line: {lines[i]!r}")
-            n = int(n)
-            maps[name] = {lines[i + 1 + j]: j for j in range(n)}
-            fields.append(name)
-            i += 1 + n
+        try:
+            min_count = int(lines[1].split()[1])
+            fields, maps = [], {}
+            i = 2
+            while i < len(lines):
+                tag, name, n = lines[i].split()
+                if tag != "field":
+                    raise DataError(f"{path}: bad dictionary line {lines[i]!r}")
+                n = int(n)
+                maps[name] = {lines[i + 1 + j]: j for j in range(n)}
+                fields.append(name)
+                i += 1 + n
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: malformed feature dictionary: {exc}") from exc
         return cls(tuple(fields), maps, min_count)
 
 
@@ -489,6 +492,9 @@ class PriceHistogram:
                     probs.append(float(q))
         except OSError as exc:
             raise DataError(f"cannot read price histogram {path}: {exc}") from exc
+        except ValueError as exc:
+            raise DataError(f"{path}:{len(probs) + 1}: malformed histogram row: "
+                            f"{exc}") from exc
         return cls(np.array(probs))
 
 
@@ -535,13 +541,11 @@ class DatasetStats:
                     kv[k.strip()] = v.strip()
         except OSError as exc:
             raise DataError(f"cannot read dataset stats {path}: {exc}") from exc
-        return cls(
-            int(kv["n"]),
-            int(kv["d"]),
-            float(kv["impression_rate"]),
-            float(kv["cpm"]),
-            histogram,
-        )
+        try:
+            return cls(int(kv["n"]), int(kv["d"]), float(kv["impression_rate"]),
+                       float(kv["cpm"]), histogram)
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}: missing or malformed entry {exc}") from exc
 
 
 class PackedRequests:

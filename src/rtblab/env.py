@@ -12,24 +12,27 @@ block on reset and the next whenever the cursor runs off the end of the
 current one. Each block is drawn in this order:
 
 1. the requests, in one sampler call on the request ("x") stream;
-2. mu and sigma of the price model, one PackedRequests.dot each;
-3. w = max(N(mu, sigma^2), 0) for every row, then one click uniform per
-   row, both on the market stream;
-4. under click utility, the click probabilities of the block's rows.
+2. the prices w = max(N(mu, sigma^2), 0) of every row, by
+   PriceModel.draw on the market stream, then one click uniform per
+   row on the same stream;
+3. under click utility, the click probabilities of the block's rows.
 
 step() only reads the next tape entry, so replaying a seed gives every
 policy the same requests, prices and click uniforms. An observation's
 request is the 1-row PackedRequests of its tape row.
+
+The budget rule is defined here once: episode_budget(alpha, cpm, t0)
+starts an episode, and budget_norm encodes a budget as a Q-network
+input, for the evaluation sweep, linbid tuning, the rlb budget grid,
+DDQN's budget draws, the observations and fdqi's logged states.
 """
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import PackedRequests
 from .errors import ConfigError
-from .market_action import ClickModel, PriceModel
+from .market_action import PriceModel
 
 UTILITIES = ("impression", "click")
 
@@ -42,6 +45,17 @@ class NonFiniteBidError(ValueError):
     """The agent bid NaN or an infinity; the step is refused."""
 
 
+def episode_budget(alpha: float, cpm: float, t0: int) -> float:
+    """The starting budget of a t0-step episode at multiplier alpha:
+    alpha times the spend of t0 requests at cpm (cost per 1000)."""
+    return alpha * cpm * t0 / 1000.0
+
+
+def budget_norm(budget, cpm: float, t0: int):
+    """A budget (scalar or array) in units of episode_budget(1, cpm, t0)."""
+    return budget / max(episode_budget(1.0, cpm, t0), 1e-12)
+
+
 @dataclass
 class AdvertiserState:
     budget: float
@@ -51,7 +65,7 @@ class AdvertiserState:
 @dataclass
 class Observation:
     request: PackedRequests   # 1-row batch: this step's request
-    budget_norm: float   # budget / (cpm_ref * t0_ref / 1000)
+    budget_norm: float   # budget_norm(budget, cpm_ref, t0_ref)
     time_norm: float     # time left / t0_ref
     budget: float
     time_left: int
@@ -69,12 +83,8 @@ class StepOutcome:
 
 @dataclass
 class EnvMeta:
-    split: str = ""
-    data_hash: str = ""
     cpm_ref: float = 1.0     # train-split spend per 1000 requests (norm anchor)
     t0_ref: int = 1000
-    w_max: float = 0.0
-    sampler_kind: str = ""
 
 
 class SimEnv:
@@ -103,10 +113,9 @@ class SimEnv:
         self._cursor = 0
 
     def _norm_obs(self) -> Observation:
-        scale = self.meta.cpm_ref * self.meta.t0_ref / 1000.0
         return Observation(
             self._request,
-            self.state.budget / max(scale, 1e-12),
+            budget_norm(self.state.budget, self.meta.cpm_ref, self.meta.t0_ref),
             self.state.time_left / self.meta.t0_ref,
             self.state.budget,
             self.state.time_left,
@@ -130,9 +139,7 @@ class SimEnv:
         """Draw the tape for the next min(time left, TAPE_BLOCK) steps."""
         n = min(self.state.time_left, TAPE_BLOCK)
         requests = self.sampler.sample_batch(n)
-        mu = self.price_model.mu(requests)
-        sig = self.price_model.sigma(requests)
-        self._prices = np.maximum(self.rng.normal(mu, sig), 0.0).tolist()
+        self._prices = self.price_model.draw(requests, self.rng).tolist()
         self._click_u = self.rng.random(n).tolist()
         self._click_p = (self.click_model.prob(requests).tolist()
                          if self.utility == "click" else None)
@@ -182,22 +189,19 @@ class EnvParts:
     splits: dict = field(default_factory=dict)  # component -> split tag
 
 
-def check_split_wiring(splits: dict, expected: str, override: bool = False) -> None:
+def check_split_wiring(splits: dict, expected: str) -> None:
     """All wired components must come from the same data split."""
     bad = {k: v for k, v in splits.items() if v != expected}
-    if bad and not override:
-        raise ConfigError(
-            f"environment expects split {expected!r} but got {bad}; "
-            "pass override to wire mixed splits deliberately"
-        )
+    if bad:
+        raise ConfigError(f"environment expects split {expected!r} but got {bad}")
 
 
-def make_env_factory(parts: EnvParts, utility: str, seed: int,
-                     expected_split: str, override: bool = False):
-    """Factory of independent SimEnv instances (one rng stream each)."""
+def make_env_factory(parts: EnvParts, utility: str, seed: int, expected_split: str):
+    """Factory of independent SimEnv instances (one rng stream each) for
+    the "train" or "test" environment."""
     from .rng import stream
 
-    check_split_wiring(parts.splits, expected_split, override)
+    check_split_wiring(parts.splits, expected_split)
 
     def make(label) -> SimEnv:
         return SimEnv(
@@ -211,10 +215,3 @@ def make_env_factory(parts: EnvParts, utility: str, seed: int,
 
     return make
 
-
-def make_train_env(parts: EnvParts, utility: str, seed: int, override: bool = False):
-    return make_env_factory(parts, utility, seed, "train", override)
-
-
-def make_test_env(parts: EnvParts, utility: str, seed: int, override: bool = False):
-    return make_env_factory(parts, utility, seed, "test", override)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import NonFiniteBidError
+from .env import NonFiniteBidError, episode_budget
 
 
 @dataclass
@@ -75,12 +75,12 @@ class ResultTable:
 def budget_sweep(agents: dict, env_factory, cpm_te: float, t0: int,
                  alphas=(0.25, 0.5, 1.0, 2.0, 4.0), repeats: int = 10,
                  config_echo=None) -> ResultTable:
-    """For each (agent, alpha): b0 = alpha * cpm_te * t0 / 1000, reward
-    percentage over the episode length."""
+    """For each (agent, alpha): b0 = episode_budget(alpha, cpm_te, t0),
+    reward percentage over the episode length."""
     table = ResultTable(config_echo=list(config_echo or []))
     for name, agent in agents.items():
         for alpha in alphas:
-            b0 = alpha * cpm_te * t0 / 1000.0
+            b0 = episode_budget(alpha, cpm_te, t0)
             res = evaluate_policy(env_factory, agent, b0, t0, repeats,
                                   label=f"{name}-a{alpha}")
             table.rows.append(ResultRow(

@@ -37,6 +37,11 @@ class PriceModel:
     def sigma(self, packed: PackedRequests) -> np.ndarray:
         return np.exp(packed.dot(self.logsig_w) + self.logsig_b)
 
+    def draw(self, packed: PackedRequests, rng) -> np.ndarray:
+        """One market price per row, max(N(mu, sigma^2), 0) (prices are
+        physical), in one rng.normal call."""
+        return np.maximum(rng.normal(self.mu(packed), self.sigma(packed)), 0.0)
+
 
 def censored_nll(model: PriceModel, packed: PackedRequests, bids, prices, wins,
                  l2: float = 0.0, want_grads: bool = True):
@@ -81,6 +86,10 @@ def censored_nll(model: PriceModel, packed: PackedRequests, bids, prices, wins,
     return loss, grads
 
 
+def logistic(s: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-s))
+
+
 @dataclass
 class ClickModel:
     """Logistic regression Pr(click | x) on impressed requests."""
@@ -92,7 +101,7 @@ class ClickModel:
         return packed.dot(self.w) + self.b
 
     def prob(self, packed: PackedRequests) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.logit(packed)))
+        return logistic(self.logit(packed))
 
 
 def click_nll(model: ClickModel, packed: PackedRequests, clicks,
@@ -105,8 +114,7 @@ def click_nll(model: ClickModel, packed: PackedRequests, clicks,
     loss = float(nll.mean()) + 0.5 * l2 * float(np.dot(model.w, model.w))
     if not want_grads:
         return loss, None
-    p = 1.0 / (1.0 + np.exp(-s))
-    r = (p - y) / len(packed)
+    r = (logistic(s) - y) / len(packed)
     return loss, {"w": packed.scatter(r) + l2 * model.w, "b": float(r.sum())}
 
 

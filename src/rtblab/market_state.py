@@ -27,6 +27,9 @@ from .errors import ConfigError, NumericalError
 from .optim import AdamState, adam_step, make_mlp
 from .rng import gumbel
 
+# relative change of the validation gap's window means that counts as stable
+STOP_TOL = 1e-3
+
 
 @dataclass
 class WganConfig:
@@ -42,7 +45,6 @@ class WganConfig:
     critic_hidden: tuple = (256, 256, 128)
     activation: str = "relu"
     stop_window: int = 50
-    stop_tol: float = 1e-3
     stop_min_iters: int = 500
 
     def __post_init__(self):
@@ -280,7 +282,7 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
         if ready and (it + 1) % w == 0:
             m1 = float(np.mean(diag.gaps[-span:]))
             m0 = float(np.mean(diag.gaps[-2 * span : -span]))
-            if abs(m1 - m0) < cfg.stop_tol * max(1.0, abs(m0)):
+            if abs(m1 - m0) < STOP_TOL * max(1.0, abs(m0)):
                 diag.stopped_early = True
                 break
     return gen, critic, diag

@@ -1,17 +1,19 @@
 """Synthetic ground-truth markets.
 
 Draws bid requests from a categorical mixture (components induce
-cross-field correlation), market prices from a Gaussian whose mean and
-log-std are linear in the one-hot vector, and clicks from a logistic
-model. A logging bid policy realizes the censoring: the market price is
-observed iff the logged bid beat it. The generating parameters are
-returned so recovery tests have an exact oracle.
+cross-field correlation), market prices from a PriceModel (Gaussian,
+mean and log-std linear in the one-hot vector, floored at 0 by
+PriceModel.draw) and clicks from a ClickModel (logistic). A logging bid
+policy realizes the censoring: the market price is observed iff the
+logged bid beat it. The generating models are returned
+(SynthMarket.price, .click) so recovery tests have an exact oracle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import load_config_file
 from .data import (
     DEFAULT_SCHEMA,
     FeatureDict,
@@ -21,6 +23,7 @@ from .data import (
     save_schema,
 )
 from .errors import ConfigError
+from .market_action import ClickModel, PriceModel
 
 
 @dataclass
@@ -55,28 +58,13 @@ def _flatten(coefs_per_field, fdict: FeatureDict) -> np.ndarray:
 
 
 @dataclass
-class SynthTruth:
-    """Flattened generating parameters, aligned with the feature dictionary."""
-
-    price_mu_w: np.ndarray
-    price_mu_b: float
-    price_logsig_w: np.ndarray
-    price_logsig_b: float
-    click_w: np.ndarray
-    click_b: float
-
-    def mu(self, x: PackedRequests) -> np.ndarray:
-        return x.dot(self.price_mu_w) + self.price_mu_b
-
-    def sigma(self, x: PackedRequests) -> np.ndarray:
-        return np.exp(x.dot(self.price_logsig_w) + self.price_logsig_b)
-
-
-@dataclass
 class SynthMarket:
+    """A synthetic log with its generating models, aligned with fdict."""
+
     fdict: FeatureDict
     samples: SampleSet
-    truth: SynthTruth
+    price: PriceModel
+    click: ClickModel
 
 
 def synth_feature_dict(field_dims) -> FeatureDict:
@@ -104,25 +92,18 @@ def sample_requests(spec: SynthSpec, fdict: FeatureDict, n: int, rng) -> PackedR
 
 def generate_synthetic_market(spec: SynthSpec, n: int, rng) -> SynthMarket:
     fdict = synth_feature_dict(spec.field_dims)
-    truth = SynthTruth(
-        price_mu_w=_flatten(spec.price_mu[0], fdict),
-        price_mu_b=float(spec.price_mu[1]),
-        price_logsig_w=_flatten(spec.price_logsig[0], fdict),
-        price_logsig_b=float(spec.price_logsig[1]),
-        click_w=_flatten(spec.click[0], fdict),
-        click_b=float(spec.click[1]),
-    )
+    price = PriceModel(_flatten(spec.price_mu[0], fdict), float(spec.price_mu[1]),
+                       _flatten(spec.price_logsig[0], fdict), float(spec.price_logsig[1]))
+    click = ClickModel(_flatten(spec.click[0], fdict), float(spec.click[1]))
     requests = sample_requests(spec, fdict, n, rng)
 
     lo, hi = spec.logging_bid
     bids = np.full(n, float(lo)) if lo == hi else rng.uniform(lo, hi, size=n)
-    # market prices are physical, hence the floor at 0
-    w = np.maximum(rng.normal(truth.mu(requests), truth.sigma(requests)), 0.0)
+    w = price.draw(requests, rng)
     wins = bids > w
     prices = np.where(wins, w, np.nan)
 
-    ctr_logit = requests.dot(truth.click_w) + truth.click_b
-    clicked = rng.random(n) < 1.0 / (1.0 + np.exp(-ctr_logit))
+    clicked = rng.random(n) < click.prob(requests)
     clicks = wins & clicked  # click observable only on impression
 
     # timestamps spread uniformly over synthetic days, in order
@@ -134,7 +115,7 @@ def generate_synthetic_market(spec: SynthSpec, n: int, rng) -> SynthMarket:
     )
 
     samples = SampleSet(requests, bids, prices, wins, clicks, ts, fdict.width)
-    return SynthMarket(fdict, samples, truth)
+    return SynthMarket(fdict, samples, price, click)
 
 
 # synthetic fields are written into these raw-log columns so the standard
@@ -183,41 +164,39 @@ def write_synthetic_log(market: SynthMarket, log_path, schema_path) -> None:
 
 
 def load_synth_spec(path) -> tuple:
-    """Parse a flat key=value synth spec file; returns (spec, n, seed)."""
-    kv = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
+    """Parse a flat key=value synth spec file; returns (spec, n, seed).
+    An unreadable file, a line without "=", a missing key or a malformed
+    number is a ConfigError."""
+    kv = load_config_file(path)
 
-    def floats(key, default=None):
+    def numbers(key, default=None, kind=float):
         if key not in kv:
             if default is None:
-                raise ConfigError(f"synth spec missing {key}")
+                raise ConfigError(f"synth spec {path} missing {key}")
             return default
-        return tuple(float(x) for x in kv[key].split(","))
+        try:
+            return tuple(kind(x) for x in kv[key].split(","))
+        except ValueError as exc:
+            raise ConfigError(f"synth spec {path}, {key}: {exc}") from exc
 
-    field_dims = tuple(int(x) for x in kv["fields"].split(","))
-    weights = floats("mixture_weights", (1.0,))
+    field_dims = numbers("fields", kind=int)
+    weights = numbers("mixture_weights", (1.0,))
     probs = []
     for k in range(len(weights)):
         comp = []
         for f in range(len(field_dims)):
-            p = np.asarray(floats(f"comp{k}_f{f}"))
+            p = np.asarray(numbers(f"comp{k}_f{f}"))
             comp.append(p / p.sum())
         probs.append(tuple(comp))
 
     def coef_block(prefix, default_intercept):
         coefs = tuple(
-            floats(f"{prefix}_f{f}", (0.0,) * field_dims[f])
+            numbers(f"{prefix}_f{f}", (0.0,) * field_dims[f])
             for f in range(len(field_dims))
         )
-        return (coefs, float(kv.get(f"{prefix}_intercept", default_intercept)))
+        return (coefs, numbers(f"{prefix}_intercept", (default_intercept,))[0])
 
-    bid = floats("logging_bid")
+    bid = numbers("logging_bid")
     spec = SynthSpec(
         field_dims=field_dims,
         mixture_weights=weights,
@@ -226,6 +205,6 @@ def load_synth_spec(path) -> tuple:
         price_logsig=coef_block("price_logsig", 0.0),
         click=coef_block("click", -4.0),
         logging_bid=(bid[0], bid[-1]),
-        days=int(kv.get("days", 5)),
+        days=numbers("days", (5,), int)[0],
     )
-    return spec, int(kv.get("n", 10000)), int(kv.get("seed", 0))
+    return spec, numbers("n", (10000,), int)[0], numbers("seed", (0,), int)[0]

@@ -284,7 +284,7 @@ def toy_bidding_world():
     width = 2
     reqs = PackedRequests.from_rows([[0], [1]], width)
     price = PriceModel(np.array([3.0, 7.0]), 0.0, np.zeros(width), -20.0)
-    meta = EnvMeta(split="train", cpm_ref=3000.0, t0_ref=100, w_max=7.0)
+    meta = EnvMeta(cpm_ref=3000.0, t0_ref=100)
 
     def factory(label):
         return SimEnv(EmpiricalSampler(reqs, stream(300, label, "x")), price,

@@ -73,8 +73,7 @@ def price_env_factory(price_by_index, cpm_ref, t0_ref, seed, width=None):
     for i, v in enumerate(price_by_index):
         w[i] = v
     price = PriceModel(w, 0.0, np.zeros(width), -20.0)
-    meta = EnvMeta(split="train", cpm_ref=cpm_ref, t0_ref=t0_ref,
-                   w_max=max(price_by_index))
+    meta = EnvMeta(cpm_ref=cpm_ref, t0_ref=t0_ref)
 
     def factory(label):
         return SimEnv(

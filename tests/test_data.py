@@ -188,6 +188,12 @@ class TestFeatureDictionary:
         assert loaded.maps == fdict.maps
         assert loaded.width == fdict.width
 
+    def test_malformed_field_line_raises_data_error(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("featuredict 1\nmin_count 1\nfield city\n")
+        with pytest.raises(DataError, match="dict.txt"):
+            FeatureDict.load(path)
+
 
 class TestFeaturize:
     def test_one_hot_per_field(self):
@@ -293,6 +299,18 @@ class TestStats:
         loaded = DatasetStats.load(tmp_path / "stats.txt", stats.histogram)
         assert loaded.cpm == stats.cpm and loaded.n == stats.n
 
+    def test_stats_without_d_raises_data_error(self, tmp_path):
+        path = tmp_path / "stats.txt"
+        path.write_text("n = 3\nimpression_rate = 0.5\ncpm = 10.0\n")
+        with pytest.raises(DataError, match="stats.txt"):
+            DatasetStats.load(path, PriceHistogram(np.ones(1)))
+
+    def test_histogram_row_without_tab_raises_data_error(self, tmp_path):
+        path = tmp_path / "hist.tsv"
+        path.write_text("0\t0.5\n1 0.5\n")
+        with pytest.raises(DataError, match="hist.tsv"):
+            PriceHistogram.load(path)
+
 
 class TestKl:
     def test_identical_is_zero(self):
@@ -343,8 +361,8 @@ class TestSyntheticMarket:
         # Monte-Carlo oracle: empirical win rate vs mean Phi((bid - mu)/sigma)
         spec = tobit_spec(logging_bid=(60.0, 60.0))
         market = generate_synthetic_market(spec, 10_000, stream(9, "synth"))
-        mu = market.truth.mu(market.samples.requests)
-        sig = market.truth.sigma(market.samples.requests)
+        mu = market.price.mu(market.samples.requests)
+        sig = market.price.sigma(market.samples.requests)
         expected = norm.cdf((market.samples.bids - mu) / sig).mean()
         assert abs(market.samples.wins.mean() - expected) < 0.02
 

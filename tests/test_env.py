@@ -11,8 +11,7 @@ from rtblab.env import (
     NonFiniteBidError,
     SimEnv,
     check_split_wiring,
-    make_test_env,
-    make_train_env,
+    make_env_factory,
 )
 from rtblab.errors import ConfigError
 from rtblab.market_action import ClickModel, PriceModel
@@ -29,7 +28,7 @@ def const_price_model(width, mu, per_index=None):
 
 
 def env_over(reqs, price, seed, label="e", utility="impression", click_model=None):
-    meta = EnvMeta(split="train", cpm_ref=5000.0, t0_ref=100, w_max=7.0)
+    meta = EnvMeta(cpm_ref=5000.0, t0_ref=100)
     return SimEnv(
         EmpiricalSampler(reqs, stream(seed, label, "x")),
         price,
@@ -126,7 +125,7 @@ class TestStep:
         env = SimEnv(
             EmpiricalSampler(reqs, stream(76, "x")),
             price, None, "impression",
-            EnvMeta(split="train", cpm_ref=7000.0, t0_ref=10), stream(76, "m"),
+            EnvMeta(cpm_ref=7000.0, t0_ref=10), stream(76, "m"),
         )
         env.reset(5.0, 3)
         out = env.step(10.0)
@@ -309,26 +308,21 @@ class TestWiring:
             sampler_factory=lambda rng: EmpiricalSampler(reqs, rng),
             price_model=const_price_model(1, 5.0),
             click_model=None,
-            meta=EnvMeta(split="train", cpm_ref=5000.0, t0_ref=10),
+            meta=EnvMeta(cpm_ref=5000.0, t0_ref=10),
             splits=splits,
         )
 
     def test_matching_tags_ok(self):
-        factory = make_train_env(self.parts({"market": "train", "price": "train"}),
-                                 "impression", seed=1)
+        factory = make_env_factory(self.parts({"market": "train", "price": "train"}),
+                                   "impression", 1, "train")
         env = factory("ep0")
         env.reset(10, 2)
         assert env.step(6.0).won
 
     def test_mismatched_tags_raise(self):
         with pytest.raises(ConfigError):
-            make_test_env(self.parts({"market": "test", "price": "train"}),
-                          "impression", seed=1)
-
-    def test_override_allows_mixing(self):
-        factory = make_test_env(self.parts({"market": "test", "price": "train"}),
-                                "impression", seed=1, override=True)
-        assert factory("ep0") is not None
+            make_env_factory(self.parts({"market": "test", "price": "train"}),
+                             "impression", 1, "test")
 
     def test_check_split_wiring_message(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -141,6 +142,13 @@ class TestCheckpointContainer:
         p = tmp_path / "c.ckpt"
         p.write_bytes(b"rtbckpt 99\n{}\n")
         with pytest.raises(DataError):
+            ckpt.load_checkpoint(p)
+
+    @pytest.mark.parametrize("header", [b"not json", b"[]"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        p = tmp_path / "c.ckpt"
+        p.write_bytes(b"rtbckpt 1\n" + header + b"\n")
+        with pytest.raises(DataError, match="c.ckpt"):
             ckpt.load_checkpoint(p)
 
     def test_rlb_policy_round_trips_as_int32(self, tmp_path):
@@ -457,6 +465,32 @@ class TestCliPipeline:
     def test_stats_command(self, workdir):
         assert cli_main(["stats", str(workdir / "data")]) == 0
 
+    def test_stats_on_corrupt_histogram_exits_3(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        with open(data / "hist_train.tsv", "a", encoding="utf-8") as fh:
+            fh.write("7 0.1\n")
+        assert cli_main(["stats", str(data)]) == 3
+        assert "hist_train.tsv" in capsys.readouterr().err
+
+
+class TestSynthSpecErrors:
+    def synth(self, tmp_path, text):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text)
+        return cli_main(["synth", str(spec), "--out", str(tmp_path / "raw")])
+
+    def test_missing_spec_exits_2(self, tmp_path):
+        assert cli_main(["synth", str(tmp_path / "missing.spec"),
+                         "--out", str(tmp_path / "raw")]) == 2
+
+    def test_malformed_number_exits_2(self, tmp_path):
+        assert self.synth(tmp_path, SYNTH_SPEC.replace("fields = 3,4",
+                                                       "fields = 2,x")) == 2
+
+    def test_line_without_equals_exits_2(self, tmp_path):
+        assert self.synth(tmp_path, SYNTH_SPEC + "days 7\n") == 2
+
 
 class TestEvaluatePolicy:
     def factory(self, seed=140):
@@ -465,7 +499,7 @@ class TestEvaluatePolicy:
 
         reqs = onehots([0], 1)
         price = PriceModel(np.array([5.0]), 0.0, np.array([0.0]), -20.0)
-        meta = EnvMeta(split="test", cpm_ref=5000.0, t0_ref=20)
+        meta = EnvMeta(cpm_ref=5000.0, t0_ref=20)
 
         def make(label):
             return SimEnv(EmpiricalSampler(reqs, stream(seed, label, "x")),
