@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from .qnet import q_values
 
 
 @dataclass
@@ -61,7 +62,5 @@ class GreedyQAgent:
         self.grid = grid
 
     def bid(self, obs) -> float:
-        from .qnet import q_values
-
         q = q_values(self.qnet, obs)
         return float(self.grid.values[int(np.argmax(q))])

@@ -1,9 +1,26 @@
-"""Checkpoint container: a one-line JSON manifest followed by named
+"""Checkpoint container and one codec per model and agent kind.
+
+The container is a one-line JSON manifest followed by named
 little-endian array blobs, with an integrity hash over the payload.
 Integer arrays are stored as int32 ("<i4") and all others as float64
 ("<f8"); each directory entry names its dtype, and an entry without one
 (written before dtypes were recorded) is float64. Round trips are
 bit-exact.
+
+Every typed manifest is built by _manifest (type, split, the config as
+strings, then the kind's own fields), and every typed file is opened by
+_load_kind, which refuses a file of another type. The kinds and the
+helpers that own them:
+
+- "market_state": save_market_state / load_market_state; the generator
+  and critic layers go through _mlp_arrays / _mlp_from_arrays.
+- "price": save_price_model / load_price_model.
+- "click": save_click_model / load_click_model; the arrays are written
+  by _click_arrays and read by _click_from_arrays.
+- "agent": save_agent / load_agent, one branch per agent_type:
+  "exddqn" and "fdqi" (GreedyQAgent, its Q-network through
+  _mlp_arrays), "linbid" (LinBidAgent; under click utility its click
+  model goes through _click_arrays) and "rlb" (RlbAgent).
 """
 
 import hashlib
@@ -11,6 +28,7 @@ import json
 
 import numpy as np
 
+from .agents import ActionGrid, DpTables, GreedyQAgent, LinBidAgent, QNetwork, RlbAgent
 from .autodiff import DenseLayer, Mlp
 from .errors import DataError
 from .market_action import ClickModel, PriceModel
@@ -18,6 +36,10 @@ from .market_state import Generator
 
 MAGIC = "rtbckpt 1"
 DTYPES = ("<f8", "<i4")
+KIND_NAMES = {"market_state": "a market-state", "price": "a price-model",
+              "click": "a click-model", "agent": "an agent"}
+Q_AGENTS = ("exddqn", "fdqi")
+QNET_PARTS = ("trunk", "value", "advantage")   # QNetwork's Mlp fields, in order
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict) -> None:
@@ -112,28 +134,38 @@ def _acts(net: Mlp) -> list:
     return [lay.act for lay in net.layers]
 
 
+def _manifest(kind: str, split: str, config: dict, **fields) -> dict:
+    """The manifest of a typed checkpoint; the config is echoed as strings."""
+    return {"type": kind, "split": split,
+            "config": {k: str(v) for k, v in config.items()}, **fields}
+
+
+def _load_kind(path, kind: str):
+    """load_checkpoint, refusing a file whose manifest has another type."""
+    manifest, arrays = load_checkpoint(path)
+    if manifest.get("type") != kind:
+        raise DataError(f"{path} is not {KIND_NAMES[kind]} checkpoint")
+    return manifest, arrays
+
+
 def save_market_state(path, gen: Generator, critic: Mlp, split: str,
                       data_hash: str, config: dict, iterations: int) -> None:
-    manifest = {
-        "type": "market_state",
-        "split": split,
-        "data_hash": data_hash,
-        "config": {k: str(v) for k, v in config.items()},
-        "iterations": iterations,
-        "z_dim": gen.z_dim,
-        "slices": [list(s) for s in gen.slices],
-        "gen_acts": _acts(gen.net),
-        "critic_acts": _acts(critic),
-    }
+    manifest = _manifest(
+        "market_state", split, config,
+        data_hash=data_hash,
+        iterations=iterations,
+        z_dim=gen.z_dim,
+        slices=[list(s) for s in gen.slices],
+        gen_acts=_acts(gen.net),
+        critic_acts=_acts(critic),
+    )
     arrays = _mlp_arrays("gen", gen.net)
     arrays.update(_mlp_arrays("critic", critic))
     save_checkpoint(path, manifest, arrays)
 
 
 def load_market_state(path):
-    manifest, arrays = load_checkpoint(path)
-    if manifest.get("type") != "market_state":
-        raise DataError(f"{path} is not a market-state checkpoint")
+    manifest, arrays = _load_kind(path, "market_state")
     gen = Generator(
         _mlp_from_arrays("gen", arrays, manifest["gen_acts"]),
         tuple(tuple(s) for s in manifest["slices"]),
@@ -145,124 +177,85 @@ def load_market_state(path):
 
 def save_price_model(path, model: PriceModel, split: str, data_hash: str,
                      config: dict) -> None:
-    manifest = {"type": "price", "split": split, "data_hash": data_hash,
-                "config": {k: str(v) for k, v in config.items()}}
     arrays = {
         "price.mu": np.concatenate([model.mu_w, [model.mu_b]]),
         "price.logsigma": np.concatenate([model.logsig_w, [model.logsig_b]]),
     }
-    save_checkpoint(path, manifest, arrays)
+    save_checkpoint(path, _manifest("price", split, config, data_hash=data_hash), arrays)
 
 
 def load_price_model(path):
-    manifest, arrays = load_checkpoint(path)
-    if manifest.get("type") != "price":
-        raise DataError(f"{path} is not a price-model checkpoint")
+    manifest, arrays = _load_kind(path, "price")
     mu = arrays["price.mu"]
     ls = arrays["price.logsigma"]
     return PriceModel(mu[:-1], float(mu[-1]), ls[:-1], float(ls[-1])), manifest
 
 
+def _click_arrays(model: ClickModel) -> dict:
+    return {"click.w": model.w, "click.b": np.array([model.b])}
+
+
+def _click_from_arrays(arrays: dict) -> ClickModel:
+    return ClickModel(arrays["click.w"], float(arrays["click.b"][0]))
+
+
 def save_click_model(path, model: ClickModel, split: str, data_hash: str,
                      config: dict) -> None:
-    manifest = {"type": "click", "split": split, "data_hash": data_hash,
-                "config": {k: str(v) for k, v in config.items()}}
-    save_checkpoint(path, manifest,
-                    {"click.w": model.w, "click.b": np.array([model.b])})
+    save_checkpoint(path, _manifest("click", split, config, data_hash=data_hash),
+                    _click_arrays(model))
 
 
 def load_click_model(path):
-    manifest, arrays = load_checkpoint(path)
-    if manifest.get("type") != "click":
-        raise DataError(f"{path} is not a click-model checkpoint")
-    return ClickModel(arrays["click.w"], float(arrays["click.b"][0])), manifest
+    manifest, arrays = _load_kind(path, "click")
+    return _click_from_arrays(arrays), manifest
 
 
-def save_qnet_agent(path, agent_type: str, qnet, grid_values, split: str,
-                    config: dict, extra: dict = None) -> None:
-    from .agents.qnet import QNetwork
-
-    assert agent_type in ("exddqn", "fdqi")
-    manifest = {
-        "type": "agent",
-        "agent_type": agent_type,
-        "split": split,
-        "config": {k: str(v) for k, v in config.items()},
-        "trunk_acts": _acts(qnet.trunk),
-        "value_acts": _acts(qnet.value),
-        "advantage_acts": _acts(qnet.advantage),
-    }
-    manifest.update(extra or {})
-    arrays = {"q.f1.w": qnet.f1_w, "q.f1.b": qnet.f1_b, "grid": grid_values}
-    arrays.update(_mlp_arrays("q.trunk", qnet.trunk))
-    arrays.update(_mlp_arrays("q.value", qnet.value))
-    arrays.update(_mlp_arrays("q.advantage", qnet.advantage))
+def save_agent(path, agent_type: str, agent, config: dict, **fields) -> None:
+    """Write an agent as load_agent returns it: a GreedyQAgent for the
+    Q_AGENTS, a LinBidAgent for "linbid", an RlbAgent for "rlb". Agents
+    are trained on the train split; fields adds provenance to the manifest.
+    """
+    if agent_type in Q_AGENTS:
+        arrays = {"q.f1.w": agent.qnet.f1_w, "q.f1.b": agent.qnet.f1_b,
+                  "grid": agent.grid.values}
+        for part in QNET_PARTS:
+            net = getattr(agent.qnet, part)
+            fields[f"{part}_acts"] = _acts(net)
+            arrays.update(_mlp_arrays(f"q.{part}", net))
+    elif agent_type == "linbid":
+        fields["utility"] = agent.utility
+        arrays = {"b0": np.array([agent.b0])}
+        if agent.utility == "click":
+            fields["avg_ctr"] = float(agent.avg_ctr)
+            arrays.update(_click_arrays(agent.click_model))
+    elif agent_type == "rlb":
+        tables = agent.tables
+        fields.update(horizon=tables.horizon, max_budget=tables.max_budget)
+        arrays = {"value": tables.value, "policy": tables.policy,
+                  "grid": agent.grid.values}
+    else:
+        raise ValueError(f"unknown agent_type {agent_type!r}")
+    manifest = _manifest("agent", "train", config, agent_type=agent_type, **fields)
     save_checkpoint(path, manifest, arrays)
 
 
 def load_agent(path):
     """Load any agent checkpoint into a ready-to-bid agent object."""
-    from .agents import ActionGrid, DpTables, GreedyQAgent, LinBidAgent, RlbAgent
-    from .agents.qnet import QNetwork
-
-    manifest, arrays = load_checkpoint(path)
-    if manifest.get("type") != "agent":
-        raise DataError(f"{path} is not an agent checkpoint")
+    manifest, arrays = _load_kind(path, "agent")
     kind = manifest.get("agent_type")
-    if kind in ("exddqn", "fdqi"):
-        qnet = QNetwork(
-            arrays["q.f1.w"], arrays["q.f1.b"],
-            _mlp_from_arrays("q.trunk", arrays, manifest["trunk_acts"]),
-            _mlp_from_arrays("q.value", arrays, manifest["value_acts"]),
-            _mlp_from_arrays("q.advantage", arrays, manifest["advantage_acts"]),
-        )
+    if kind in Q_AGENTS:
+        qnet = QNetwork(arrays["q.f1.w"], arrays["q.f1.b"], *(
+            _mlp_from_arrays(f"q.{part}", arrays, manifest[f"{part}_acts"])
+            for part in QNET_PARTS))
         return GreedyQAgent(qnet, ActionGrid(arrays["grid"])), manifest
     if kind == "linbid":
-        utility = manifest.get("utility", "impression")
-        if utility == "click":
-            click = ClickModel(arrays["click.w"], float(arrays["click.b"][0]))
-            return LinBidAgent(float(arrays["b0"][0]), "click", click,
+        b0 = float(arrays["b0"][0])
+        if manifest.get("utility", "impression") == "click":
+            return LinBidAgent(b0, "click", _click_from_arrays(arrays),
                                float(manifest["avg_ctr"])), manifest
-        return LinBidAgent(float(arrays["b0"][0])), manifest
+        return LinBidAgent(b0), manifest
     if kind == "rlb":
-        tables = DpTables(
-            arrays["value"],
-            arrays["policy"].astype(np.int32),
-            int(manifest["horizon"]),
-            int(manifest["max_budget"]),
-        )
+        tables = DpTables(arrays["value"], arrays["policy"],
+                          int(manifest["horizon"]), int(manifest["max_budget"]))
         return RlbAgent(tables, ActionGrid(arrays["grid"])), manifest
     raise DataError(f"unknown agent_type {kind!r} in {path}")
-
-
-def save_linbid_agent(path, b0: float, split: str, config: dict,
-                      utility: str = "impression", click_model=None,
-                      avg_ctr: float = None) -> None:
-    manifest = {"type": "agent", "agent_type": "linbid", "split": split,
-                "utility": utility,
-                "config": {k: str(v) for k, v in config.items()}}
-    arrays = {"b0": np.array([b0])}
-    if utility == "click":
-        manifest["avg_ctr"] = float(avg_ctr)
-        arrays["click.w"] = click_model.w
-        arrays["click.b"] = np.array([click_model.b])
-    save_checkpoint(path, manifest, arrays)
-
-
-def save_rlb_agent(path, tables, grid_values, m_hash: str, split: str,
-                   config: dict) -> None:
-    manifest = {
-        "type": "agent",
-        "agent_type": "rlb",
-        "split": split,
-        "config": {k: str(v) for k, v in config.items()},
-        "horizon": tables.horizon,
-        "max_budget": tables.max_budget,
-        "histogram_hash": m_hash,
-    }
-    arrays = {
-        "value": tables.value,
-        "policy": tables.policy,
-        "grid": grid_values,
-    }
-    save_checkpoint(path, manifest, arrays)

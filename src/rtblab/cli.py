@@ -18,6 +18,9 @@ from .agents import (
     ActionGrid,
     DdqnConfig,
     FdqiConfig,
+    GreedyQAgent,
+    LinBidAgent,
+    RlbAgent,
     fdqi_build_transitions,
     fdqi_train,
     linbid_tune,
@@ -67,17 +70,13 @@ def _cfg(args) -> dict:
                             getattr(args, "set", None))
 
 
-def _data_path(d, name):
-    return os.path.join(d, name)
-
-
 def _load_split(data_dir, split) -> SampleSet:
-    return SampleSet.load(_data_path(data_dir, f"{split}.samples"))
+    return SampleSet.load(os.path.join(data_dir, f"{split}.samples"))
 
 
 def _load_stats(data_dir, split) -> DatasetStats:
-    hist = PriceHistogram.load(_data_path(data_dir, f"hist_{split}.tsv"))
-    return DatasetStats.load(_data_path(data_dir, f"stats_{split}.txt"), hist)
+    hist = PriceHistogram.load(os.path.join(data_dir, f"hist_{split}.tsv"))
+    return DatasetStats.load(os.path.join(data_dir, f"stats_{split}.txt"), hist)
 
 
 def cmd_synth(args):
@@ -86,9 +85,9 @@ def cmd_synth(args):
         seed = args.seed
     market = generate_synthetic_market(spec, n, stream(seed, "synth"))
     os.makedirs(args.out, exist_ok=True)
-    write_synthetic_log(market, _data_path(args.out, "log.tsv"),
-                        _data_path(args.out, "schema.txt"))
-    with open(_data_path(args.out, "truth.txt"), "w", encoding="utf-8") as fh:
+    write_synthetic_log(market, os.path.join(args.out, "log.tsv"),
+                        os.path.join(args.out, "schema.txt"))
+    with open(os.path.join(args.out, "truth.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"price_mu_b = {market.price.mu_b!r}\n")
         fh.write(f"price_logsig_b = {market.price.logsig_b!r}\n")
         fh.write(f"click_b = {market.click.b!r}\n")
@@ -107,13 +106,13 @@ def cmd_ingest(args):
     all_samples = SampleSet.from_records(records, fdict)
     parts = split_day_indices(all_samples.timestamps, (0.60, 0.15, 0.25))
     os.makedirs(args.out, exist_ok=True)
-    fdict.save(_data_path(args.out, "dict.txt"))
+    fdict.save(os.path.join(args.out, "dict.txt"))
     for split, idx in zip(SPLITS, parts):
         sub = all_samples.subset(np.sort(idx))
-        sub.save(_data_path(args.out, f"{split}.samples"))
+        sub.save(os.path.join(args.out, f"{split}.samples"))
         stats = dataset_statistics(sub)
-        stats.save(_data_path(args.out, f"stats_{split}.txt"))
-        stats.histogram.save(_data_path(args.out, f"hist_{split}.tsv"))
+        stats.save(os.path.join(args.out, f"stats_{split}.txt"))
+        stats.histogram.save(os.path.join(args.out, f"hist_{split}.tsv"))
         print(f"{split}: n={stats.n} imp={stats.impression_rate:.3f} "
               f"cpm={stats.cpm:.1f}")
     if skipped:
@@ -146,7 +145,7 @@ def _wgan_config(cfg) -> WganConfig:
 
 def cmd_train_market(args):
     cfg = _cfg(args)
-    fdict = FeatureDict.load(_data_path(args.data, "dict.txt"))
+    fdict = FeatureDict.load(os.path.join(args.data, "dict.txt"))
     samples = _load_split(args.data, args.split)
     val = _load_split(args.data, "val")
     wcfg = _wgan_config(cfg)
@@ -207,7 +206,7 @@ def _action_grid(train_stats) -> ActionGrid:
 
 
 def _env_parts(args, cfg) -> tuple:
-    """Wire EnvParts from checkpoints; returns (parts, price_model, grid)."""
+    """Wire EnvParts from checkpoints; returns (parts, train stats)."""
     gen, _, m_manifest = ckpt.load_market_state(args.market)
     price, p_manifest = ckpt.load_price_model(args.price)
     click, c_manifest = (None, None)
@@ -223,13 +222,13 @@ def _env_parts(args, cfg) -> tuple:
     splits = {"market": m_manifest["split"], "price": p_manifest["split"]}
     if c_manifest:
         splits["click"] = c_manifest["split"]
-    parts = EnvParts(sampler_factory, price, click, meta, splits)
-    return parts, price, _action_grid(train_stats)
+    return EnvParts(sampler_factory, price, click, meta, splits), train_stats
 
 
 def cmd_train_agent(args):
     cfg = _cfg(args)
-    parts, price, grid = _env_parts(args, cfg)
+    parts, train_stats = _env_parts(args, cfg)
+    grid = _action_grid(train_stats)
     utility = cfg["utility"]
     seed = cfg_int(cfg, "seed")
     if args.agent == "exddqn":
@@ -246,8 +245,8 @@ def cmd_train_agent(args):
             n_actions=len(grid),
         )
         qnet, diag = train_ddqn(factory, grid, dcfg, stream(seed, "ddqn"),
-                                price_model=price)
-        ckpt.save_qnet_agent(args.out, "exddqn", qnet, grid.values, "train", cfg)
+                                price_model=parts.price_model)
+        ckpt.save_agent(args.out, "exddqn", GreedyQAgent(qnet, grid), cfg)
         mean_r = np.mean(diag.episode_rewards[-20:]) if diag.episode_rewards else 0
         print(f"exddqn: {diag.steps} steps, {diag.updates} updates, "
               f"recent episode reward {mean_r:.1f}")
@@ -258,8 +257,8 @@ def cmd_train_agent(args):
         fcfg = FdqiConfig(outer_iters=cfg_int(cfg, "fdqi_outer"),
                           n_actions=len(grid))
         qnet, diag = fdqi_train(trs, samples.width, fcfg, stream(seed, "fdqi"),
-                                price_model=price)
-        ckpt.save_qnet_agent(args.out, "fdqi", qnet, grid.values, "train", cfg)
+                                price_model=parts.price_model)
+        ckpt.save_agent(args.out, "fdqi", GreedyQAgent(qnet, grid), cfg)
         print(f"fdqi: {len(trs['reward'])} transitions, "
               f"{diag.iterations} fitted iterations")
     else:
@@ -269,21 +268,20 @@ def cmd_train_agent(args):
 
 def cmd_tune_linbid(args):
     cfg = _cfg(args)
-    parts, _, _ = _env_parts(args, cfg)
+    parts, train_stats = _env_parts(args, cfg)
     utility = cfg["utility"]
     seed = cfg_int(cfg, "seed")
     factory = make_env_factory(parts, utility, seed, "train")
-    train_stats = _load_stats(args.data, "train")
     grid = default_base_grid(train_stats.histogram)
     t0 = cfg_int(cfg, "t0")
     b0_eval = episode_budget(1.0, train_stats.cpm, t0)
-    click_model, avg = None, None
-    if utility == "click":
-        click_model, _ = ckpt.load_click_model(args.click)
+    click_model, avg = parts.click_model, None
+    # without --click the environment refuses click utility (a config error)
+    if utility == "click" and click_model is not None:
         avg = average_ctr(click_model, _load_split(args.data, "train").requests)
     best, means = linbid_tune(factory, grid, cfg_int(cfg, "linbid_episodes"),
                               b0_eval, t0, utility, click_model, avg)
-    ckpt.save_linbid_agent(args.out, best, "train", cfg, utility, click_model, avg)
+    ckpt.save_agent(args.out, "linbid", LinBidAgent(best, utility, click_model, avg), cfg)
     print(f"linbid base bid {best:.2f} (grid of {len(grid)})")
     return 0
 
@@ -299,15 +297,15 @@ def cmd_solve_rlb(args):
     max_budget = int(np.ceil(episode_budget(alpha_max, train_stats.cpm, horizon))) * 2
     grid = _action_grid(train_stats)
     tables = rlb_dp_solve(m, horizon, max_budget, grid)
-    ckpt.save_rlb_agent(args.out, tables, grid.values,
-                        ckpt.hash_histogram(m), "train", cfg)
+    ckpt.save_agent(args.out, "rlb", RlbAgent(tables, grid), cfg,
+                    histogram_hash=ckpt.hash_histogram(m))
     print(f"rlb tables solved: horizon {horizon}, budget grid {max_budget}")
     return 0
 
 
 def cmd_evaluate(args):
     cfg = _cfg(args)
-    parts, _, _ = _env_parts(args, cfg)
+    parts, _ = _env_parts(args, cfg)
     utility = cfg["utility"]
     seed = cfg_int(cfg, "seed")
     factory = make_env_factory(parts, utility, seed, "test")
@@ -331,7 +329,7 @@ def cmd_evaluate(args):
 
 def cmd_mmd(args):
     cfg = _cfg(args)
-    fdict = FeatureDict.load(_data_path(args.data, "dict.txt"))
+    fdict = FeatureDict.load(os.path.join(args.data, "dict.txt"))
     test = _load_split(args.data, "test")
     gen, _, m_manifest = ckpt.load_market_state(args.model)
     seed = cfg_int(cfg, "seed")

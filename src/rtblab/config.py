@@ -44,40 +44,21 @@ PROFILES = {
         "mmd_repeats": "100",
         "mmd_sigma": "1",
     },
-    "paper": {
-        "t0": "100000",
-        "alphas": "0.25,0.5,1,2,4",
-        "repeats": "10",
-        "seed": "0",
-        "utility": "impression",
-        "min_count": "500",
-        "ddqn_total_steps": "5000000",
-        "ddqn_workers": "16",
-        "ddqn_eps_scale": "500000",
-        "ddqn_warmup": "2000",
-        "ddqn_target_sync": "5000",
-        "ddqn_lr": "1e-3",
-        "ddqn_batch": "32",
-        "wgan_iters": "4000",
-        "wgan_batch": "1024",
-        "wgan_lr": "1e-4",
-        "wgan_z_dim": "64",
-        "wgan_gen_hidden": "256,256,128",
-        "wgan_critic_hidden": "256,256,128",
-        "wgan_tau": "0.667",
-        "wgan_lambda": "10",
-        "wgan_critic_steps": "5",
-        "fit_lr_grid": "0.3,0.03",
-        "fit_l2_grid": "1e-2,1e-4,1e-6,1e-8",
-        "fit_epochs": "100",
-        "fit_batch": "1024",
-        "fdqi_outer": "10",
-        "rlb_horizon": "1000",
-        "linbid_episodes": "3",
-        "mmd_n": "200",
-        "mmd_repeats": "100",
-        "mmd_sigma": "1",
-    },
+}
+
+# the paper scale: the desk profile with these keys overridden
+PROFILES["paper"] = {
+    **PROFILES["desk"],
+    "t0": "100000",
+    "min_count": "500",
+    "ddqn_total_steps": "5000000",
+    "ddqn_workers": "16",
+    "ddqn_eps_scale": "500000",
+    "ddqn_target_sync": "5000",
+    "wgan_batch": "1024",
+    "wgan_gen_hidden": "256,256,128",
+    "wgan_critic_hidden": "256,256,128",
+    "rlb_horizon": "1000",
 }
 
 

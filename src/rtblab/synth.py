@@ -38,11 +38,30 @@ class SynthSpec:
     days: int = 5
 
     def __post_init__(self):
+        """Errors name the spec-file key: comp{k}_f{f} is component k's
+        probabilities for field f, {block}_f{f} a coefficient list."""
         if abs(sum(self.mixture_weights) - 1.0) > 1e-9:
             raise ConfigError("mixture weights must sum to 1")
-        for comp in self.mixture_probs:
+        for k, comp in enumerate(self.mixture_probs):
             if len(comp) != len(self.field_dims):
                 raise ConfigError("every mixture component needs probs per field")
+            for f, (p, dim) in enumerate(zip(comp, self.field_dims)):
+                p = np.asarray(p, dtype=np.float64)
+                if p.size != dim:
+                    raise ConfigError(f"comp{k}_f{f} has {p.size} probabilities "
+                                      f"for {dim} categories")
+                if not (np.all(np.isfinite(p)) and np.all(p >= 0) and p.sum() > 0):
+                    raise ConfigError(f"comp{k}_f{f} must be finite, non-negative "
+                                      "and not all zero")
+        for block, (coefs, _) in (("price_mu", self.price_mu),
+                                  ("price_logsig", self.price_logsig),
+                                  ("click", self.click)):
+            if coefs and len(coefs) != len(self.field_dims):
+                raise ConfigError(f"{block} needs one coefficient list per field")
+            for f, (c, dim) in enumerate(zip(coefs, self.field_dims)):
+                if len(c) != dim:
+                    raise ConfigError(f"{block}_f{f} has {len(c)} values "
+                                      f"for {dim} categories")
 
 
 def _flatten(coefs_per_field, fdict: FeatureDict) -> np.ndarray:
@@ -181,13 +200,10 @@ def load_synth_spec(path) -> tuple:
 
     field_dims = numbers("fields", kind=int)
     weights = numbers("mixture_weights", (1.0,))
-    probs = []
-    for k in range(len(weights)):
-        comp = []
-        for f in range(len(field_dims)):
-            p = np.asarray(numbers(f"comp{k}_f{f}"))
-            comp.append(p / p.sum())
-        probs.append(tuple(comp))
+    probs = tuple(
+        tuple(np.asarray(numbers(f"comp{k}_f{f}")) for f in range(len(field_dims)))
+        for k in range(len(weights))
+    )
 
     def coef_block(prefix, default_intercept):
         coefs = tuple(
@@ -200,11 +216,13 @@ def load_synth_spec(path) -> tuple:
     spec = SynthSpec(
         field_dims=field_dims,
         mixture_weights=weights,
-        mixture_probs=tuple(probs),
+        mixture_probs=probs,
         price_mu=coef_block("price_mu", 0.0),
         price_logsig=coef_block("price_logsig", 0.0),
         click=coef_block("click", -4.0),
         logging_bid=(bid[0], bid[-1]),
         days=numbers("days", (5,), int)[0],
     )
+    # SynthSpec checked the raw vectors; a raw vector need not sum to 1
+    spec.mixture_probs = tuple(tuple(p / p.sum() for p in comp) for comp in probs)
     return spec, numbers("n", (10000,), int)[0], numbers("seed", (0,), int)[0]

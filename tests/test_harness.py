@@ -10,10 +10,19 @@ import pytest
 
 import rtblab
 from rtblab import checkpoint as ckpt
-from rtblab.agents import ActionGrid, QNetwork, q_forward, rlb_dp_solve
+from rtblab.agents import (
+    ActionGrid,
+    DpTables,
+    GreedyQAgent,
+    LinBidAgent,
+    QNetwork,
+    RlbAgent,
+    q_forward,
+    rlb_dp_solve,
+)
 from rtblab.cli import main as cli_main
 from rtblab.config import cfg_floats, cfg_int, config_lines, effective_config
-from rtblab.autodiff import DimensionError
+from rtblab.autodiff import DenseLayer, DimensionError, Mlp
 from rtblab.data import PackedRequests, PriceHistogram, load_schema
 from rtblab.errors import ConfigError, DataError
 from rtblab.evaluate import (
@@ -25,7 +34,14 @@ from rtblab.evaluate import (
     read_report_tsv,
     write_report,
 )
-from rtblab.market_state import EmpiricalSampler, UniformSampler, WganConfig, build_generator
+from rtblab.market_action import ClickModel, PriceModel
+from rtblab.market_state import (
+    EmpiricalSampler,
+    Generator,
+    UniformSampler,
+    WganConfig,
+    build_generator,
+)
 from rtblab.mmd import mmd_benchmark, mmd_estimate
 from rtblab.rng import stream
 from rtblab.synth import SynthSpec, generate_synthetic_market, synth_feature_dict
@@ -117,6 +133,46 @@ class TestMmdBenchmark:
         assert rows["uniform"][0] == pytest.approx(0.0, abs=1e-3)
 
 
+def arange_mlp(dims, acts, start=0):
+    """An Mlp whose weights and biases are consecutive np.arange values."""
+    layers = []
+    for n_in, n_out, act in zip(dims, dims[1:], acts):
+        w = (np.arange(n_in * n_out, dtype=np.float64).reshape(n_in, n_out) + start) / 8
+        b = (np.arange(n_out, dtype=np.float64) - start) / 4
+        layers.append(DenseLayer(w, b, act))
+        start += n_in * n_out + n_out
+    return Mlp(layers)
+
+
+def arange_checkpoints(root):
+    """Write one checkpoint of every kind, built from np.arange values;
+    returns {file name: agent} of the agent checkpoints."""
+    cfg = {"seed": "1", "t0": "50"}
+    gen = Generator(arange_mlp([3, 4, 5], ["relu", "identity"]), ((0, 2), (2, 5)), 3)
+    critic = arange_mlp([5, 4, 1], ["tanh", "identity"], 7)
+    price = PriceModel(np.arange(5.0) / 2, 30.0, -np.arange(5.0) / 10, 1.5)
+    click = ClickModel(np.arange(5.0) / 5 - 0.5, -2.0)
+    qnet = QNetwork(np.arange(5.0) / 3, np.array([0.5]), arange_mlp([3, 4], ["relu"], 1),
+                    arange_mlp([4, 2, 1], ["relu", "identity"], 2),
+                    arange_mlp([4, 2, 3], ["relu", "identity"], 3))
+    grid = ActionGrid(np.arange(1.0, 4.0))
+    tables = DpTables(np.arange(12.0).reshape(3, 4) / 2,
+                      np.arange(12, dtype=np.int32).reshape(3, 4) % 3, 2, 3)
+    ckpt.save_market_state(root / "market.ckpt", gen, critic, "train", "d1", cfg, 7)
+    ckpt.save_price_model(root / "price.ckpt", price, "train", "d2", cfg)
+    ckpt.save_click_model(root / "click.ckpt", click, "test", "d3", cfg)
+    agents = {
+        "exddqn.ckpt": ("exddqn", GreedyQAgent(qnet, grid), {}),
+        "fdqi.ckpt": ("fdqi", GreedyQAgent(qnet, grid), {}),
+        "linbid.ckpt": ("linbid", LinBidAgent(2.5), {}),
+        "linbid_click.ckpt": ("linbid", LinBidAgent(2.5, "click", click, 0.125), {}),
+        "rlb.ckpt": ("rlb", RlbAgent(tables, grid), {"histogram_hash": "h"}),
+    }
+    for name, (agent_type, agent, fields) in agents.items():
+        ckpt.save_agent(root / name, agent_type, agent, cfg, **fields)
+    return {name: agent for name, (_, agent, _) in agents.items()}
+
+
 class TestCheckpointContainer:
     def test_save_load_save_byte_identical(self, tmp_path):
         rng = stream(135, "ck")
@@ -156,7 +212,7 @@ class TestCheckpointContainer:
         grid = ActionGrid.from_max_price(29.0, k=20)
         tables = rlb_dp_solve(PriceHistogram(probs), 12, 40, grid)
         path = tmp_path / "rlb.ckpt"
-        ckpt.save_rlb_agent(path, tables, grid.values, "h", "train", {"seed": 1})
+        ckpt.save_agent(path, "rlb", RlbAgent(tables, grid), {"seed": 1}, histogram_hash="h")
         manifest, arrays = ckpt.load_checkpoint(path)
         assert np.array_equal(arrays["value"], tables.value)
         assert arrays["value"].dtype == np.float64
@@ -213,7 +269,7 @@ class TestCheckpointContainer:
         qnet = QNetwork.build(6, rng, n_actions=5, shared=8, branch=4)
         grid = ActionGrid.from_max_price(10.0, k=5)
         path = tmp_path / "agent.ckpt"
-        ckpt.save_qnet_agent(path, "exddqn", qnet, grid.values, "train", {"seed": 1})
+        ckpt.save_agent(path, "exddqn", GreedyQAgent(qnet, grid), {"seed": 1})
         agent, manifest = ckpt.load_agent(path)
         assert manifest["agent_type"] == "exddqn"
         packed = onehots(rng.integers(0, 6, size=100), 6)
@@ -246,6 +302,64 @@ class TestCheckpointContainer:
             for lay in net2.layers:
                 assert np.shares_memory(lay.w, net2.params)
                 assert np.shares_memory(lay.b, net2.params)
+
+    # sha256 of each kind's file, recorded with the per-kind agent writers
+    # that save_agent replaced: any change to a format fails here
+    PINNED = {
+        "click.ckpt": "15313385651a4e934b8170d2905812692ac8744545c2dd51650bd53172b981bb",
+        "exddqn.ckpt": "017149a65b92102b8f514d1d31e7ee901a0fffe27866055e9eb8930ec1588283",
+        "fdqi.ckpt": "3a732a912bd72795ed97c93b253ed6ede3e01ab7955bb575e4e1a63166623050",
+        "linbid.ckpt": "78b40d56908dee58e643fbaa8aac96c7dc4ccb6367f4293fa20880e1c7838c32",
+        "linbid_click.ckpt":
+            "c6ef3c85d46e5165fd2ba49e166e379303e569576c3818122318ac74a0e552ee",
+        "market.ckpt": "4376b2f8770e2e434303098375d780291c67122572d33a03f72a63872063fb58",
+        "price.ckpt": "ab1d8788865d3f56eec85702e1b866f026c5fc431142d5cf958de4d2353469c9",
+        "rlb.ckpt": "e738d83b06bcaa2f864ba7a081fbdab64399b50d21ddddb7e046d99c55105f13",
+    }
+
+    def test_every_kind_is_pinned(self, tmp_path):
+        arange_checkpoints(tmp_path)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == self.PINNED
+
+    @pytest.mark.parametrize("name", ["linbid.ckpt", "linbid_click.ckpt"])
+    def test_linbid_round_trip(self, tmp_path, name):
+        saved = arange_checkpoints(tmp_path)[name]
+        agent, manifest = ckpt.load_agent(tmp_path / name)
+        assert (manifest["agent_type"], manifest["split"]) == ("linbid", "train")
+        assert manifest["utility"] == saved.utility
+        assert (agent.b0, agent.utility, agent.avg_ctr) == (
+            saved.b0, saved.utility, saved.avg_ctr)
+        if saved.utility == "impression":
+            assert agent.click_model is None and "avg_ctr" not in manifest
+        else:
+            assert np.array_equal(agent.click_model.w, saved.click_model.w)
+            assert agent.click_model.b == saved.click_model.b
+
+    LOADERS = {
+        "market.ckpt": (ckpt.load_market_state, "a market-state"),
+        "price.ckpt": (ckpt.load_price_model, "a price-model"),
+        "click.ckpt": (ckpt.load_click_model, "a click-model"),
+        "rlb.ckpt": (ckpt.load_agent, "an agent"),
+    }
+
+    @pytest.mark.parametrize("own", sorted(LOADERS))
+    def test_loader_refuses_another_kind(self, tmp_path, own):
+        arange_checkpoints(tmp_path)
+        load, what = self.LOADERS[own]
+        load(tmp_path / own)
+        for other in self.LOADERS.keys() - {own}:
+            with pytest.raises(DataError, match=f"{other} is not {what} checkpoint"):
+                load(tmp_path / other)
+
+    def test_unknown_agent_type_rejected(self, tmp_path):
+        arange_checkpoints(tmp_path)
+        manifest, arrays = ckpt.load_checkpoint(tmp_path / "rlb.ckpt")
+        path = tmp_path / "oracle.ckpt"
+        ckpt.save_checkpoint(path, {**manifest, "agent_type": "oracle"}, arrays)
+        with pytest.raises(DataError, match="unknown agent_type 'oracle'"):
+            ckpt.load_agent(path)
 
 
 class TestReports:
@@ -296,9 +410,20 @@ class TestConfig:
 
     def test_paper_profile_scale(self):
         cfg = effective_config("paper")
+        desk = effective_config("desk")
         assert cfg_int(cfg, "t0") == 100_000
         assert cfg_int(cfg, "ddqn_total_steps") == 5_000_000
         assert cfg_floats(cfg, "alphas") == (0.25, 0.5, 1.0, 2.0, 4.0)
+        overrides = {
+            "t0": "100000", "min_count": "500", "ddqn_total_steps": "5000000",
+            "ddqn_workers": "16", "ddqn_eps_scale": "500000",
+            "ddqn_target_sync": "5000", "wgan_batch": "1024",
+            "wgan_gen_hidden": "256,256,128", "wgan_critic_hidden": "256,256,128",
+            "rlb_horizon": "1000",
+        }
+        assert cfg.keys() == desk.keys()
+        assert {k: v for k, v in cfg.items() if desk[k] != v} == {
+            **overrides, "profile": "paper"}
 
     def test_unknown_profile_raises(self):
         with pytest.raises(ConfigError):
@@ -425,6 +550,17 @@ class TestCliPipeline:
         ] + self.quick_sets())
         assert code == 2
 
+    def test_click_utility_without_click_model_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "linbid.ckpt"
+        assert cli_main([
+            "tune-linbid", "--data", str(workdir / "data"),
+            "--market", str(workdir / "market_train.ckpt"),
+            "--price", str(workdir / "price_train.ckpt"),
+            "--out", str(out), "--set", "utility=click",
+        ] + self.quick_sets()) == 2
+        assert "click model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_rlb_prices_above_budget_grid(self, workdir, tmp_path):
         # horizon 1 at alpha 0.25 gives a budget grid of 20, below most train prices
         out = tmp_path / "rlb.ckpt"
@@ -490,6 +626,25 @@ class TestSynthSpecErrors:
 
     def test_line_without_equals_exits_2(self, tmp_path):
         assert self.synth(tmp_path, SYNTH_SPEC + "days 7\n") == 2
+
+    def test_coefficient_list_of_wrong_length_exits_2(self, tmp_path, capsys):
+        # five values for a three-category field used to spill into field f1
+        text = SYNTH_SPEC.replace("price_mu_f0 = 15,0,-10", "price_mu_f0 = 15,0,-10,40,40")
+        assert self.synth(tmp_path, text) == 2
+        assert "price_mu_f0" in capsys.readouterr().err
+
+    def test_probability_vector_of_wrong_length_exits_2(self, tmp_path, capsys):
+        # a fifth probability used to sample field f1's first slot
+        text = SYNTH_SPEC.replace("comp0_f0 = 0.8,0.15,0.05",
+                                  "comp0_f0 = 0.6,0.15,0.05,0.1,0.1")
+        assert self.synth(tmp_path, text) == 2
+        assert "comp0_f0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probs", ["0,0,0", "0.5,-0.2,0.7", "0.5,nan,0.5"])
+    def test_degenerate_probability_vector_exits_2(self, tmp_path, capsys, probs):
+        text = SYNTH_SPEC.replace("comp0_f0 = 0.8,0.15,0.05", f"comp0_f0 = {probs}")
+        assert self.synth(tmp_path, text) == 2
+        assert "comp0_f0" in capsys.readouterr().err
 
 
 class TestEvaluatePolicy:
