@@ -1,5 +1,5 @@
 """Time the request data path: ingest, load, fdqi transitions and one
-DDQN update.
+DDQN update, and measure the replay buffer's bytes per transition.
 
     python3 bench/requests.py --label after
     python3 bench/requests.py --label before --src OLD_CHECKOUT/src
@@ -11,24 +11,34 @@ shape it times:
 
 - ingest: `SampleSet.from_records` on the parsed records, then `save`;
 - load: `SampleSet.load` of that file;
-- fdqi: `fdqi_build_transitions` on the loaded set (t0 = 100);
+- fdqi: `fdqi_build_transitions` on the loaded set (t0 = 100).
+
+On the one-hot shape only, it also times
+
 - ddqn_update: one DDQN update at the train-agents shape (batch 32,
   shared width 128, branch 64, 20 actions): `batch_arrays` on a batch
   drawn from a replay buffer holding 800 environment steps, then
-  `ddqn_loss` and `adam_step`.
+  `ddqn_loss` and `adam_step`;
+
+and records replay_bytes_per_transition: the memory (by tracemalloc) a
+full RING-slot `ReplayBuffer` holds per transition, when every step
+makes one new 1-row request that is also the next step's request, as
+`SimEnv` hands them out. The tagged shape has neither: its replay would
+be filled from a ragged empirical corpus, and the replay buffer holds
+requests of one index count only (that of its first push).
 
 Every layer time is the median over REPEATS repeats of the mean of CALLS
 calls. The times, with the facts of the machine that ran them and hashes
 of the outputs (the sample file, every fdqi transition, the update's
 losses and network), go into BENCH_requests.json under --label, beside
 the labels already there; equal hashes across labels mean equal results.
---src picks the rtblab source tree to time, so another checkout with
-columnar replay and one flat parameter vector per network can be timed
-into the same file. The network hash reads `params`, whose layout
+--src picks the rtblab source tree to time, so another checkout can be
+timed into the same file. The network hash reads `params`, whose layout
 ([f1_w, f1_b], then each layer's w and b) gives the same bytes as the
-per-layer arrays that earlier labels hashed. The labels
-before `flat-params` were recorded from trees with other layouts, which
-this script no longer drives. In trees that number a record's tags in
+per-layer arrays that earlier labels hashed. The labels before
+`flat-params` were recorded from trees with other layouts, which this
+script no longer drives, and the labels before `parent` timed a DDQN
+update on the tagged shape too. In trees that number a record's tags in
 set order, the tagged shape's dictionary follows the hash seed, so its
 hashes compare across labels only when PYTHONHASHSEED is fixed (it is
 recorded with the run).
@@ -51,6 +61,7 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -59,6 +70,7 @@ import workloads  # noqa: E402  (perfbench's synthetic market)
 SHAPES = ("one-hot", "tagged")
 T0 = 100
 ENV_STEPS = 800
+RING = 20_000
 BATCH = 32
 CALLS = 20
 REPEATS = 5
@@ -108,6 +120,22 @@ def filled_buffer(samples):
     return buf
 
 
+def replay_bytes(samples) -> float:
+    """Bytes a full RING-slot replay buffer holds per transition."""
+    from rtblab.agents import replay
+
+    n = len(samples)
+    tracemalloc.start()
+    buf = replay.ReplayBuffer(RING)
+    nxt = samples.requests.rows([0])
+    for j in range(RING):
+        req, nxt = nxt, samples.requests.rows([(j + 1) % n])
+        buf.push(req, 0.5, 1.0, 3, 0.0, nxt, 0.5, 1.0, False)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return held / RING
+
+
 def digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -139,7 +167,8 @@ def time_shape(shape, tmp) -> dict:
 
     ingest()
     samples = SampleSet.load(path)
-    buf = filled_buffer(samples)
+    one_hot = shape == "one-hot"
+    buf = filled_buffer(samples) if one_hot else None
 
     def ddqn_updates():
         """CALLS updates from a fresh network and sampling stream."""
@@ -161,35 +190,38 @@ def time_shape(shape, tmp) -> dict:
         "load": lambda: SampleSet.load(path),
         "fdqi": lambda: fdqi_build_transitions(samples, grid, T0, 30_000.0),
     }
-    times = {k: [] for k in (*layers, "ddqn_update")}
+    times = {k: [] for k in layers}
     outputs = set()
     for _ in range(REPEATS):
         for k, fn in layers.items():
             times[k].append(per_call(fn))
-        t, nets = ddqn_updates()
-        times["ddqn_update"].append(t)
         trs = fdqi_build_transitions(samples, grid, T0, 30_000.0)
         batch = batch_arrays(trs, np.arange(len(trs["reward"])))
         with open(path, "rb") as fh:
-            sample_file = hashlib.sha256(fh.read()).hexdigest()
-        outputs.add((
-            sample_file,
-            digest([batch[k] for k in ("b", "t", "action", "reward", "next_b",
-                                       "next_t", "done")]
-                   + [batch["packed"].dense(), batch["next_packed"].dense()]),
-            digest(nets),
-        ))
+            hashes = {"samples": hashlib.sha256(fh.read()).hexdigest()}
+        hashes["fdqi"] = digest(
+            [batch[k] for k in ("b", "t", "action", "reward", "next_b", "next_t",
+                                "done")]
+            + [batch["packed"].dense(), batch["next_packed"].dense()])
+        if one_hot:
+            t, nets = ddqn_updates()
+            times.setdefault("ddqn_update", []).append(t)
+            hashes["ddqn"] = digest(nets)
+        outputs.add(tuple(sorted(hashes.items())))
     if len(outputs) != 1:
         raise SystemExit(f"{shape}: repeats gave different outputs")
-    sample_file, fdqi, ddqn = outputs.pop()
-    return {
+    out = {
         "name": shape, "records": len(recs), "width": fdict.width, "t0": T0,
-        "env_steps": ENV_STEPS, "batch": BATCH, "calls": CALLS, "repeats": REPEATS,
-        "outputs_sha256": {"samples": sample_file, "fdqi": fdqi, "ddqn": ddqn},
+        "batch": BATCH, "calls": CALLS, "repeats": REPEATS,
+        "outputs_sha256": dict(outputs.pop()),
         "median_ms": {k: 1e3 * statistics.median(v) for k, v in times.items()},
         "min_ms": {k: 1e3 * min(v) for k, v in times.items()},
         "times_ms": {k: [1e3 * x for x in v] for k, v in times.items()},
     }
+    if one_hot:
+        out.update(env_steps=ENV_STEPS, ring=RING,
+                   replay_bytes_per_transition=replay_bytes(samples))
+    return out
 
 
 def main(argv=None) -> int:
@@ -204,6 +236,9 @@ def main(argv=None) -> int:
     for s in shapes:
         cells = "  ".join(f"{k} {v:.3f}" for k, v in s["median_ms"].items())
         print(f"{args.label}: {s['name']} (median ms) {cells}")
+        if "replay_bytes_per_transition" in s:
+            print(f"{args.label}: {s['name']} replay_bytes_per_transition "
+                  f"{s['replay_bytes_per_transition']:.1f}")
 
     result = {"runs": {}}
     if os.path.exists(OUT):

@@ -83,18 +83,28 @@ def load_checkpoint(path):
         raise DataError(f"{path}: checkpoint header is not a JSON object")
     if hashlib.sha256(payload).hexdigest() != head.get("sha256"):
         raise DataError(f"{path}: integrity hash mismatch (truncated or corrupt)")
+    if not isinstance(head.get("arrays"), list):
+        raise DataError(f"{path}: checkpoint header has no array directory")
     arrays = {}
     offset = 0
     for entry in head["arrays"]:
+        if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
+            raise DataError(f"{path}: malformed array directory entry {entry!r}")
         dtype = entry.get("dtype", "<f8")
         if dtype not in DTYPES:
             raise DataError(f"{path}: unknown array dtype {dtype!r}")
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = count * np.dtype(dtype).itemsize
+        if offset + nbytes > len(payload):
+            raise DataError(f"{path}: array {entry['name']!r} runs past the end "
+                            "of the payload")
         arrays[entry["name"]] = np.frombuffer(
             payload[offset : offset + nbytes], dtype=dtype
         ).reshape(entry["shape"]).copy()
         offset += nbytes
+    if offset != len(payload):
+        raise DataError(f"{path}: {len(payload) - offset} payload bytes belong "
+                        "to no array in the directory")
     manifest = {k: v for k, v in head.items() if k not in ("arrays", "sha256")}
     return manifest, arrays
 

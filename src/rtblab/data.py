@@ -629,12 +629,8 @@ class PackedRequests:
 
     def scatter(self, row_values: np.ndarray) -> np.ndarray:
         """Accumulate per-row values onto active indices (x^T @ v)."""
-        g = np.zeros(self.width)
-        if self.mat is not None:
-            np.add.at(g, self.mat, row_values[:, None])
-        else:
-            np.add.at(g, self.idx, np.repeat(row_values, self.counts))
-        return g
+        return np.bincount(self.indices, weights=np.repeat(row_values, self.counts),
+                           minlength=self.width)
 
     def rows(self, ids) -> "PackedRequests":
         """The batch of rows ids, in that order and in this batch's layout."""
@@ -655,10 +651,7 @@ class PackedRequests:
 
     def dense(self) -> np.ndarray:
         out = np.zeros((len(self), self.width))
-        if self.mat is not None:
-            np.put_along_axis(out, self.mat, 1.0, axis=1)
-        else:
-            out[np.repeat(np.arange(len(self)), np.diff(self.ptr)), self.idx] = 1.0
+        out[np.repeat(np.arange(len(self)), self.counts), self.indices] = 1.0
         return out
 
 

@@ -40,8 +40,11 @@ class SynthSpec:
     def __post_init__(self):
         """Errors name the spec-file key: comp{k}_f{f} is component k's
         probabilities for field f, {block}_f{f} a coefficient list."""
+        weights = np.asarray(self.mixture_weights, dtype=np.float64)
+        if not (np.all(np.isfinite(weights)) and np.all(weights >= 0)):
+            raise ConfigError("mixture_weights must be finite and non-negative")
         if abs(sum(self.mixture_weights) - 1.0) > 1e-9:
-            raise ConfigError("mixture weights must sum to 1")
+            raise ConfigError("mixture_weights must sum to 1")
         for k, comp in enumerate(self.mixture_probs):
             if len(comp) != len(self.field_dims):
                 raise ConfigError("every mixture component needs probs per field")

@@ -28,6 +28,7 @@ from rtblab.agents.replay import batch_arrays
 from rtblab.autodiff import mlp_forward
 from rtblab.data import PackedRequests, SampleSet
 from rtblab.env import EnvMeta, SimEnv
+from rtblab.errors import DataError
 from rtblab.market_action import ClickModel, PriceModel
 from rtblab.market_state import EmpiricalSampler
 from rtblab.rng import stream
@@ -251,6 +252,55 @@ class TestReplay:
         tracemalloc.stop()
         assert peak < 1_000_000
         assert buf["reward"].tolist() == [float(i) for i in range(10)]
+
+    def test_wrapped_ring_gathers_what_a_per_row_pack_gives(self):
+        rng = stream(149, "ring")
+        source = PackedRequests(rng.integers(0, 30, size=(40, 5)), 30)
+        cap = 7
+        buf = ReplayBuffer(capacity=cap)
+        slots = [None] * cap   # the reference ring: push j lands in slot j % cap
+        for j in range(19):
+            row = (source.rows([j]), rng.random(), rng.random(), int(rng.integers(4)),
+                   rng.random(), source.rows([j + 1]), rng.random(), rng.random(),
+                   bool(rng.random() < 0.5))
+            buf.push(*row)
+            slots[j % cap] = row
+        ids = buf.sample(5, rng)
+        got = batch_arrays(buf, ids)
+        names = ("packed", "b", "t", "action", "reward", "next_packed", "next_b",
+                 "next_t", "done")
+        for c, name in enumerate(names):
+            if name.endswith("packed"):
+                want = PackedRequests.from_rows([slots[i][c].indices for i in ids], 30)
+                assert got[name].width == want.width
+                assert got[name].mat.dtype == want.mat.dtype
+                assert np.array_equal(got[name].mat, want.mat)
+            else:
+                want = np.array([slots[i][c] for i in ids])
+                assert got[name].dtype.kind == want.dtype.kind
+                assert np.array_equal(got[name], want)
+
+    def test_request_of_another_index_count_raises(self):
+        buf = ReplayBuffer(capacity=4)
+        pair = PackedRequests(np.array([[0, 2]]), 3)
+        buf.push(pair, 0.1, 0.2, 0, 0.0, pair, 0.1, 0.1, False)
+        with pytest.raises(DataError, match="2 indices; got one of 1"):
+            buf.push(pair, 0.1, 0.2, 0, 0.0, onehot(1, 3), 0.1, 0.1, True)
+        assert len(buf) == 1
+
+    def test_full_ring_keeps_no_object_per_transition(self):
+        cap, k = 20_000, 14
+        source = PackedRequests(stream(153, "ring").integers(0, 200, size=(cap + 1, k)), 200)
+        tracemalloc.start()
+        buf = ReplayBuffer(capacity=cap)
+        for j in range(cap):
+            # a new 1-row request per side, as the environment hands them out
+            buf.push(source.rows([j]), 0.5, 1.0, 3, 1.0, source.rows([j + 1]),
+                     0.4, 0.9, False)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(buf) == cap
+        assert held / cap < 400
 
 
 class TestDdqnLoss:

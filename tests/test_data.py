@@ -451,6 +451,28 @@ class TestPackedRequests:
         assert np.array_equal(sub.dense(), dense[ids])
         assert np.allclose(sub.dot(w), dense[ids] @ w, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_batches())
+    def test_scatter_is_bitwise_an_add_at_over_the_rows(self, batch):
+        # ragged batches, some with empty rows
+        rows, width, rng = batch
+        v = rng.standard_normal(len(rows))
+        want = np.zeros(width)
+        np.add.at(want, np.array([j for r in rows for j in r], dtype=np.int64),
+                  np.repeat(v, [len(r) for r in rows]))
+        assert np.array_equal(PackedRequests.from_rows(rows, width).scatter(v), want)
+
+    @pytest.mark.parametrize("k", [1, 3, 14])
+    def test_scatter_on_uniform_rows_is_bitwise_an_add_at(self, k):
+        rng = stream(151, "scatter", k)
+        mat = rng.integers(0, 40, size=(300, k))
+        v = rng.standard_normal(300)
+        want = np.zeros(40)
+        np.add.at(want, mat, v[:, None])
+        packed = PackedRequests(mat, 40)
+        assert packed.mat is not None
+        assert np.array_equal(packed.scatter(v), want)
+
 
 class TestSampleFile:
     def ragged_set(self):

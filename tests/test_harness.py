@@ -243,6 +243,40 @@ class TestCheckpointContainer:
         with pytest.raises(DataError):
             ckpt.load_checkpoint(p)
 
+    def write_raw(self, path, directory, payload):
+        """A container whose hash holds but whose directory may not fit."""
+        head = {"type": "test", "sha256": hashlib.sha256(payload).hexdigest()}
+        if directory is not None:
+            head["arrays"] = directory
+        path.write_bytes(f"{ckpt.MAGIC}\n{json.dumps(head)}\n".encode() + payload)
+
+    def test_entry_larger_than_payload_rejected(self, tmp_path):
+        p = tmp_path / "big.ckpt"
+        self.write_raw(p, [{"name": "a", "shape": [3, 3], "dtype": "<f8"}],
+                       np.arange(6.0).tobytes())
+        with pytest.raises(DataError, match="big.ckpt"):
+            ckpt.load_checkpoint(p)
+
+    def test_header_without_directory_rejected(self, tmp_path):
+        p = tmp_path / "nodir.ckpt"
+        self.write_raw(p, None, np.arange(6.0).tobytes())
+        with pytest.raises(DataError, match="nodir.ckpt"):
+            ckpt.load_checkpoint(p)
+
+    @pytest.mark.parametrize("entry", [{"shape": [2]}, {"name": "a"}, "a"])
+    def test_malformed_directory_entry_rejected(self, tmp_path, entry):
+        p = tmp_path / "entry.ckpt"
+        self.write_raw(p, [entry], np.arange(2.0).tobytes())
+        with pytest.raises(DataError, match="entry.ckpt"):
+            ckpt.load_checkpoint(p)
+
+    def test_unclaimed_payload_bytes_rejected(self, tmp_path):
+        p = tmp_path / "tail.ckpt"
+        self.write_raw(p, [{"name": "a", "shape": [2], "dtype": "<f8"}],
+                       np.arange(3.0).tobytes())
+        with pytest.raises(DataError, match="tail.ckpt"):
+            ckpt.load_checkpoint(p)
+
     def test_integer_array_beyond_int32_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ckpt.save_checkpoint(tmp_path / "c.ckpt", {"type": "test"},
@@ -645,6 +679,13 @@ class TestSynthSpecErrors:
         text = SYNTH_SPEC.replace("comp0_f0 = 0.8,0.15,0.05", f"comp0_f0 = {probs}")
         assert self.synth(tmp_path, text) == 2
         assert "comp0_f0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["1.5,-0.5", "nan,1", "inf,-inf"])
+    def test_degenerate_mixture_weights_exit_2(self, tmp_path, capsys, weights):
+        text = SYNTH_SPEC.replace("mixture_weights = 0.5,0.5",
+                                  f"mixture_weights = {weights}")
+        assert self.synth(tmp_path, text) == 2
+        assert "mixture_weights" in capsys.readouterr().err
 
 
 class TestEvaluatePolicy:
