@@ -19,16 +19,20 @@ criterion 4's (the 3 + 4 category toy market; batch 256, hidden
 - `generator_forward` on one batch.
 
 Every layer time is the median over REPEATS repeats of the mean of CALLS
-calls. The times, with the facts of the machine that ran them and a hash
-of the outputs (the trained nets and one critic step's gradients), go
-into BENCH_wgan_iter.json under --label, beside the labels already
-there. Every repeat of a shape must give the same hash. --src picks the
-rtblab source tree to time, so another checkout whose requests are
-PackedRequests batches and whose nets and gradients are one flat vector
-each can be timed into the same file. Those vectors hold each layer's w
-and b in layer order, so the hash equals that of the labels before
-`flat-params`, recorded from trees that kept per-layer arrays, which
-this script no longer drives.
+calls. Before each repeat the script reads perfbench's `host_reference()`,
+a fixed loop of small numpy calls; `scaled_median_ms` multiplies each
+median by HOST_REF_QUIET_S over the loop's fastest time in the run, so
+labels timed while the host ran slower or faster compare. The times,
+with the facts of the machine that ran them and a hash of the outputs
+(the trained nets and one critic step's gradients), go into
+BENCH_wgan_iter.json under --label, beside the labels already there
+(labels before `host-scaled` have no scaled medians). Every repeat of
+a shape must give the same hash. --src picks the rtblab source tree to
+time, so another checkout whose requests are PackedRequests batches and
+whose nets and gradients are one flat vector each can be timed into the
+same file. Those vectors hold each layer's w and b in layer order, so
+the hash equals that of the labels before `flat-params`, recorded from
+trees that kept per-layer arrays, which this script no longer drives.
 """
 
 import os
@@ -38,7 +42,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(ROOT, "BENCH_wgan_iter.json")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from run import machine_facts  # noqa: E402  (fixes the BLAS threads before numpy loads)
+from run import (  # noqa: E402  (fixes the BLAS threads before numpy loads)
+    HOST_REF_QUIET_S,
+    host_reference,
+    machine_facts,
+)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -87,7 +95,7 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
-def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
+def time_shape(name, field_dims, batch, hidden, z_dim, host_ref) -> dict:
     from rtblab.autodiff import gradient_penalty, mlp_backward, mlp_forward
     from rtblab.market_state import (WganConfig, build_critic, build_generator,
                                      critic_loss, generator_forward,
@@ -133,6 +141,7 @@ def time_shape(name, field_dims, batch, hidden, z_dim) -> dict:
     times.update({k: [] for k in layers})
     hashes = set()
     for _ in range(REPEATS):
+        host_ref.append(host_reference())
         start = time.perf_counter()
         nets = train_once()
         times["wgan_iter"].append((time.perf_counter() - start) / ITERS)
@@ -158,16 +167,22 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
 
-    shapes = [time_shape(name, *spec) for name, spec in SHAPES.items()]
+    host_ref = []
+    shapes = [time_shape(name, *spec, host_ref) for name, spec in SHAPES.items()]
+    scale = HOST_REF_QUIET_S / min(host_ref)
     for s in shapes:
-        cells = "  ".join(f"{k} {v:.3f}" for k, v in s["median_ms"].items())
-        print(f"{args.label}: {s['name']} (median ms) {cells}")
+        s["scaled_median_ms"] = {k: v * scale for k, v in s["median_ms"].items()}
+        cells = "  ".join(f"{k} {v:.3f} ({s['scaled_median_ms'][k]:.3f})"
+                          for k, v in s["median_ms"].items())
+        print(f"{args.label}: {s['name']} median ms (host-scaled) {cells}")
+    print(f"{args.label}: host reference {min(host_ref):.4f} s, scale {scale:.3f}")
 
     result = {"runs": {}}
     if os.path.exists(OUT):
         with open(OUT, "r", encoding="utf-8") as fh:
             result = json.load(fh)
-    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes}
+    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes,
+                                  "host_reference_s": host_ref, "host_scale": scale}
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,7 +1,7 @@
 """Bidding policies: exploration-trained dueling double DQN, linear
 bidding, the dynamic-programming bidder, and fitted deep Q-iteration."""
 
-from .base import ActionGrid, ConstantBidAgent, GreedyQAgent
+from .base import ActionGrid, GreedyQAgent
 from .ddqn import (
     DdqnConfig,
     act_epsilon_greedy,
@@ -17,7 +17,6 @@ from .rlb import DpTables, RlbAgent, rlb_act, rlb_dp_solve
 
 __all__ = [
     "ActionGrid",
-    "ConstantBidAgent",
     "GreedyQAgent",
     "DdqnConfig",
     "act_epsilon_greedy",

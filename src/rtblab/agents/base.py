@@ -44,16 +44,6 @@ class ActionGrid:
         return out if out.ndim else int(out)
 
 
-class ConstantBidAgent:
-    """Always bids the same amount (test/baseline plumbing)."""
-
-    def __init__(self, bid: float):
-        self._bid = float(bid)
-
-    def bid(self, obs) -> float:
-        return self._bid
-
-
 class GreedyQAgent:
     """Greedy policy over a trained Q-network on the action grid."""
 

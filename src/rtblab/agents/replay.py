@@ -26,13 +26,14 @@ class ReplayBuffer:
     """Ring buffer transition table; batches are drawn uniformly without
     replacement. Its columns grow with the data up to capacity.
 
-    Each request column is an (rows, k) int64 index matrix. The first
-    push fixes k and the width; a request with another index count is a
-    DataError."""
+    Each request column is an (rows, k) int64 index matrix, with row
+    offsets that grow with it. The first push fixes k and the width; a
+    request with another index count is a DataError."""
 
     def __init__(self, capacity: int = 2_500_000):
         self.capacity = int(capacity)
         self._cols = None   # allocated by the first push
+        self._ptr = None    # row offsets i * k of the allocated rows
         self.k = self.width = None
         self._n = 0
         self._next = 0
@@ -44,7 +45,10 @@ class ReplayBuffer:
         if self._n == 0:
             raise DataError("the replay buffer is empty")
         col = self._cols[key][: self._n]
-        return PackedRequests(col, self.width) if key in REQUESTS else col
+        if key in REQUESTS:
+            return PackedRequests._wrap(col.ravel(), self._ptr[: self._n + 1], self.width,
+                                        self.k)
+        return col
 
     def push(self, packed, b, t, action, reward, next_packed, next_b, next_t,
              done) -> None:
@@ -66,6 +70,7 @@ class ReplayBuffer:
                 for name, col in self._cols.items():
                     self._cols[name] = np.concatenate(
                         [col, np.zeros((extra, *col.shape[1:]), col.dtype)])
+                self._ptr = np.arange(i + extra + 1) * self.k
         else:
             i = self._next
             self._next = (i + 1) % self.capacity

@@ -6,7 +6,8 @@ line. A losing row carries an empty pay_price (the market price is
 censored). Featurization turns each record into the active indices of a
 sparse one-hot vector, exactly one per field; the usertag block is the
 single exception, where every tag is its own binary feature. Requests
-travel as PackedRequests batches, from the sample file to the replay.
+travel as PackedRequests batches, from the sample file to the replay:
+one CSR layout whose `dot` sums each row the same way in every batch.
 """
 
 import math
@@ -378,10 +379,10 @@ class SampleSet:
         )
 
     def save(self, path) -> None:
-        ptr = np.cumsum(self.requests.counts).tolist()
+        ptr = self.requests.ptr.tolist()
         tokens = [str(j) for j in self.requests.indices.tolist()]
         columns = zip(self.timestamps.tolist(), self.wins.tolist(), self.clicks.tolist(),
-                      self.bids.tolist(), self.prices.tolist(), [0] + ptr, ptr)
+                      self.bids.tolist(), self.prices.tolist(), ptr[:-1], ptr[1:])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"samples 1 {self.width}\n")
             for t, w, c, b, p, lo, hi in columns:
@@ -551,35 +552,36 @@ class DatasetStats:
 class PackedRequests:
     """A batch of bid requests: sparse one-hot rows in CSR form.
 
-    A batch is one index array holding every row's active indices back to
-    back, plus per-row counts. Uniform-arity batches (the common case:
-    one hot per field) keep them as an (n, k) index matrix `mat`; ragged
-    batches keep the flat `idx` with row offsets `ptr`. A ragged batch
-    may hold empty rows (no active index); `filled` then lists the
-    non-empty rows, and is None when every row has an index. The layout
-    is chosen when a batch is built; `rows` keeps it.
+    Every row's active indices sit back to back in one int64 array `idx`,
+    and row i holds idx[ptr[i]:ptr[i + 1]] for the n + 1 offsets `ptr`. A
+    row may be empty (no active index). `k` is the index count every row
+    shares (one hot per field is the common case), or -1 when the counts
+    differ; it only lets `rows` and `dot` skip work, never changes a result.
     """
 
-    __slots__ = ("width", "mat", "idx", "ptr", "filled")
+    __slots__ = ("width", "idx", "ptr", "k")
 
     def __init__(self, indices, width: int, counts=None):
         """indices is an (n, k) index matrix or, with counts, every row's
         indices back to back (row i holds counts[i] of them)."""
         indices = np.asarray(indices, dtype=np.int64)
-        self.width = int(width)
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.size and np.all(counts == counts[0]):
-                indices, counts = indices.reshape(counts.size, int(counts[0])), None
-        if (indices.shape[0] if counts is None else counts.size) == 0:
-            raise DataError("cannot pack an empty request batch")
         if counts is None:
-            self.mat = indices
-            self.idx = self.ptr = self.filled = None
+            n, k = indices.shape
+            ptr = np.arange(n + 1) * k
         else:
-            self.mat = None
-            self.idx = indices
-            self._set_ptr(counts)
+            counts = np.asarray(counts, dtype=np.int64)
+            ptr = np.concatenate([[0], np.cumsum(counts)])
+            k = _shared_count(counts)
+        if ptr.size == 1:
+            raise DataError("cannot pack an empty request batch")
+        self.idx, self.ptr, self.width, self.k = indices.ravel(), ptr, int(width), int(k)
+
+    @classmethod
+    def _wrap(cls, idx, ptr, width: int, k: int) -> "PackedRequests":
+        """A batch over these arrays as they are: no check, no copy."""
+        out = object.__new__(cls)
+        out.idx, out.ptr, out.width, out.k = idx, ptr, width, k
+        return out
 
     @classmethod
     def from_rows(cls, rows, width: int) -> "PackedRequests":
@@ -588,43 +590,39 @@ class PackedRequests:
         return cls(np.concatenate([np.zeros(0, np.int64), *rows]), width,
                    [r.size for r in rows])
 
-    def _set_ptr(self, counts) -> None:
-        self.ptr = np.concatenate([[0], np.cumsum(counts)])
-        self.filled = np.flatnonzero(counts) if np.any(counts == 0) else None
-
     def __len__(self) -> int:
-        return self.mat.shape[0] if self.mat is not None else self.ptr.size - 1
+        return self.ptr.size - 1
 
     @property
     def indices(self) -> np.ndarray:
         """Every row's active indices, back to back."""
-        return self.mat.ravel() if self.mat is not None else self.idx
+        return self.idx
 
     @property
     def counts(self) -> np.ndarray:
         """Active indices per row."""
-        if self.mat is not None:
-            return np.full(self.mat.shape[0], self.mat.shape[1])
         return np.diff(self.ptr)
 
     def __eq__(self, other):
         return (
             isinstance(other, PackedRequests)
             and self.width == other.width
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.ptr, other.ptr)
+            and np.array_equal(self.idx, other.idx)
         )
 
     def dot(self, w: np.ndarray) -> np.ndarray:
-        """Per-row sum of w over active indices (x @ w for one-hot x)."""
-        if self.mat is not None:
-            return w[self.mat].sum(axis=1)
-        if self.filled is None:
+        """Per-row sum of w over active indices (x @ w for one-hot x).
+
+        Every batch sums a row r as w[r[0]] + w[r[1:]].sum(), so a row
+        prices the same bits in any batch that holds it."""
+        if self.k > 0 or np.all(self.counts):
             return np.add.reduceat(w[self.idx], self.ptr[:-1])
         # reduceat gives an empty segment the next element, not 0: reduce
         # over the non-empty rows, whose segments are then contiguous
+        filled = np.flatnonzero(self.counts)
         out = np.zeros(len(self))
-        out[self.filled] = np.add.reduceat(w[self.idx], self.ptr[self.filled])
+        out[filled] = np.add.reduceat(w[self.idx], self.ptr[filled])
         return out
 
     def scatter(self, row_values: np.ndarray) -> np.ndarray:
@@ -633,26 +631,32 @@ class PackedRequests:
                            minlength=self.width)
 
     def rows(self, ids) -> "PackedRequests":
-        """The batch of rows ids, in that order and in this batch's layout."""
-        out = object.__new__(PackedRequests)
-        out.width = self.width
-        if self.mat is not None:
-            out.mat = self.mat[ids]
-            out.idx = out.ptr = out.filled = None
-        else:
-            out.mat = None
-            starts = self.ptr[ids]
-            counts = self.ptr[np.asarray(ids) + 1] - starts
-            out._set_ptr(counts)
-            # entry j of picked row i sits at starts[i] + j in self.idx
-            shift = np.repeat(starts - out.ptr[:-1], counts)
-            out.idx = self.idx[shift + np.arange(out.ptr[-1])]
-        return out
+        """The batch of rows ids, in that order."""
+        if self.k >= 0:
+            # every row holds k indices: gather them as an (n, k) matrix
+            # (a uniform batch's first m + 1 offsets are those of any m rows)
+            picked = self.idx.reshape(self.ptr.size - 1, self.k).take(ids, axis=0)
+            m = picked.shape[0]
+            ptr = self.ptr[: m + 1] if m < self.ptr.size else np.arange(m + 1) * self.k
+            return self._wrap(picked.ravel(), ptr, self.width, self.k)
+        ids = np.asarray(ids)
+        starts = self.ptr[ids]
+        counts = self.ptr[ids + 1] - starts
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        # entry j of picked row i sits at starts[i] + j in self.idx
+        shift = np.repeat(starts - ptr[:-1], counts)
+        return self._wrap(self.idx[shift + np.arange(ptr[-1])], ptr, self.width,
+                          _shared_count(counts))
 
     def dense(self) -> np.ndarray:
         out = np.zeros((len(self), self.width))
         out[np.repeat(np.arange(len(self)), self.counts), self.indices] = 1.0
         return out
+
+
+def _shared_count(counts) -> int:
+    """The count every row holds, or -1 when the rows differ (or there are none)."""
+    return int(counts[0]) if counts.size and np.all(counts == counts[0]) else -1
 
 
 def dataset_statistics(samples: SampleSet) -> DatasetStats:

@@ -5,7 +5,6 @@ import pytest
 
 from rtblab.agents import (
     ActionGrid,
-    ConstantBidAgent,
     DdqnConfig,
     FdqiConfig,
     GreedyQAgent,
@@ -273,8 +272,8 @@ class TestReplay:
             if name.endswith("packed"):
                 want = PackedRequests.from_rows([slots[i][c].indices for i in ids], 30)
                 assert got[name].width == want.width
-                assert got[name].mat.dtype == want.mat.dtype
-                assert np.array_equal(got[name].mat, want.mat)
+                assert got[name].indices.dtype == want.indices.dtype
+                assert got[name] == want
             else:
                 want = np.array([slots[i][c] for i in ids])
                 assert got[name].dtype.kind == want.dtype.kind
@@ -301,6 +300,21 @@ class TestReplay:
         tracemalloc.stop()
         assert len(buf) == cap
         assert held / cap < 400
+
+    def test_batch_gather_memory_does_not_grow_with_the_ring(self):
+        cap, k = 20_000, 14
+        source = PackedRequests(stream(155, "ring").integers(0, 200, size=(101, k)), 200)
+        buf = ReplayBuffer(capacity=cap)
+        for j in range(cap):
+            buf.push(source.rows([j % 100]), 0.5, 1.0, 3, 1.0, source.rows([j % 100 + 1]),
+                     0.4, 0.9, False)
+        ids = buf.sample(32, stream(155, "ids"))
+        tracemalloc.start()
+        batch = batch_arrays(buf, ids)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(batch["packed"]) == len(batch["reward"]) == 32
+        assert peak < 64 * 1024
 
 
 class TestDdqnLoss:
@@ -516,7 +530,3 @@ class TestFdqi:
         a, _ = fdqi_train(trs, 2, cfg, stream(126, "f"))
         b, _ = fdqi_train(trs, 2, cfg, stream(126, "f"))
         assert np.array_equal(a.params, b.params)
-
-
-def test_constant_agent():
-    assert ConstantBidAgent(4.2).bid(toy_obs()) == 4.2

@@ -387,7 +387,7 @@ class TestSyntheticMarket:
         for k in range(5, 21):
             w = rng.standard_normal(8 * k) * 100.0
             mat = rng.integers(0, 8 * k, size=(300, k))
-            per_row = np.array([w[row].sum() for row in mat])
+            per_row = np.array([w[row[0]] + w[row[1:]].sum() for row in mat])
             assert np.array_equal(PackedRequests(mat, 8 * k).dot(w), per_row), k
 
     def test_sample_set_round_trip(self, tmp_path):
@@ -414,6 +414,15 @@ def ragged_batches(draw):
     rows = draw(st.lists(st.sets(st.integers(0, width - 1)), min_size=1, max_size=25))
     seed = draw(st.integers(0, 2**32 - 1))
     return [sorted(r) for r in rows], width, np.random.default_rng(seed)
+
+
+@st.composite
+def uniform_batches(draw):
+    """Random (n, k) index matrices over a small width, k = 0 included."""
+    width = draw(st.integers(1, 10))
+    shape = (draw(st.integers(1, 25)), draw(st.integers(0, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, width, size=shape).tolist(), width, rng
 
 
 class TestPackedRequests:
@@ -452,6 +461,36 @@ class TestPackedRequests:
         assert np.allclose(sub.dot(w), dense[ids] @ w, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
+    @given(st.one_of(ragged_batches(), uniform_batches()))
+    def test_any_subset_dots_as_the_same_rows_packed_fresh(self, batch):
+        rows, width, rng = batch
+        packed = PackedRequests.from_rows(rows, width)
+        w = rng.standard_normal(width) * 100.0
+        # the rows that share one row's count, shuffled, and a random draw
+        count = len(rows[rng.integers(len(rows))])
+        same = rng.permutation([i for i, r in enumerate(rows) if len(r) == count])
+        for ids in (same, rng.integers(len(rows), size=len(rows))):
+            fresh = PackedRequests.from_rows([rows[i] for i in ids], width)
+            sub = packed.rows(ids)
+            assert sub == fresh
+            assert np.array_equal(sub.dot(w), fresh.dot(w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(uniform_batches())
+    def test_matrix_batch_is_the_same_rows_built_from_rows(self, batch):
+        rows, width, rng = batch
+        mat = PackedRequests(np.array(rows, dtype=np.int64), width)
+        fresh = PackedRequests.from_rows(rows, width)
+        w = rng.standard_normal(width) * 100.0
+        assert mat == fresh
+        assert np.array_equal(mat.dot(w), fresh.dot(w))
+        # the same rows picked back out of a batch with one longer row
+        ragged = PackedRequests.from_rows(rows + [rows[0] + [0]], width)
+        picked = ragged.rows(np.arange(len(rows)))
+        assert picked == mat
+        assert np.array_equal(picked.dot(w), mat.dot(w))
+
+    @settings(max_examples=200, deadline=None)
     @given(ragged_batches())
     def test_scatter_is_bitwise_an_add_at_over_the_rows(self, batch):
         # ragged batches, some with empty rows
@@ -470,7 +509,7 @@ class TestPackedRequests:
         want = np.zeros(40)
         np.add.at(want, mat, v[:, None])
         packed = PackedRequests(mat, 40)
-        assert packed.mat is not None
+        assert packed == PackedRequests.from_rows(mat, 40)
         assert np.array_equal(packed.scatter(v), want)
 
 

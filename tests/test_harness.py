@@ -501,15 +501,42 @@ def workdir(tmp_path_factory):
     return root
 
 
+QUICK_SETS = ["--set", "t0=50", "--set", "repeats=3",
+              "--set", "fit_epochs=40", "--set", "rlb_horizon=25",
+              "--set", "wgan_iters=120", "--set", "wgan_batch=64",
+              "--set", "wgan_z_dim=8", "--set", "wgan_gen_hidden=16",
+              "--set", "wgan_critic_hidden=16", "--set", "wgan_lr=1e-3",
+              "--set", "fdqi_outer=2", "--set", "linbid_episodes=2",
+              "--set", "alphas=0.5,1,2"]
+
+
+@pytest.fixture(scope="module")
+def pipeline(workdir):
+    """Write into workdir the market, price and click models of both
+    splits and the linbid, rlb and fdqi agents of the train split."""
+    d = str(workdir / "data")
+    q = QUICK_SETS
+    for split in ("train", "test"):
+        assert cli_main(["train-market", d, "--split", split,
+                         "--out", str(workdir / f"market_{split}.ckpt")] + q) == 0
+        assert cli_main(["train-price", d, "--split", split,
+                         "--out", str(workdir / f"price_{split}.ckpt")] + q) == 0
+        assert cli_main(["train-click", d, "--split", split,
+                         "--out", str(workdir / f"click_{split}.ckpt")] + q) == 0
+
+    train_models = ["--data", d, "--market", str(workdir / "market_train.ckpt"),
+                    "--price", str(workdir / "price_train.ckpt")]
+    assert cli_main(["tune-linbid", *train_models,
+                     "--out", str(workdir / "linbid.ckpt")] + q) == 0
+    assert cli_main(["solve-rlb", "--data", d,
+                     "--out", str(workdir / "rlb.ckpt")] + q) == 0
+    assert cli_main(["train-agent", *train_models, "--agent", "fdqi",
+                     "--out", str(workdir / "fdqi.ckpt")] + q) == 0
+
+
 class TestCliPipeline:
     def quick_sets(self):
-        return ["--set", "t0=50", "--set", "repeats=3",
-                "--set", "fit_epochs=40", "--set", "rlb_horizon=25",
-                "--set", "wgan_iters=120", "--set", "wgan_batch=64",
-                "--set", "wgan_z_dim=8", "--set", "wgan_gen_hidden=16",
-                "--set", "wgan_critic_hidden=16", "--set", "wgan_lr=1e-3",
-                "--set", "fdqi_outer=2", "--set", "linbid_episodes=2",
-                "--set", "alphas=0.5,1,2"]
+        return list(QUICK_SETS)
 
     def test_tagged_ingest_is_independent_of_the_hash_seed(self, workdir, tmp_path):
         # user tags arrive as a set per record; the dictionary must not
@@ -536,26 +563,10 @@ class TestCliPipeline:
         assert "dict.txt" in outputs[0] and "train.samples" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.usefixtures("pipeline")
     def test_full_pipeline(self, workdir):
         d = str(workdir / "data")
         q = self.quick_sets()
-        for split in ("train", "test"):
-            assert cli_main(["train-market", d, "--split", split,
-                             "--out", str(workdir / f"market_{split}.ckpt")] + q) == 0
-            assert cli_main(["train-price", d, "--split", split,
-                             "--out", str(workdir / f"price_{split}.ckpt")] + q) == 0
-            assert cli_main(["train-click", d, "--split", split,
-                             "--out", str(workdir / f"click_{split}.ckpt")] + q) == 0
-
-        train_models = ["--data", d, "--market", str(workdir / "market_train.ckpt"),
-                        "--price", str(workdir / "price_train.ckpt")]
-        assert cli_main(["tune-linbid", *train_models,
-                         "--out", str(workdir / "linbid.ckpt")] + q) == 0
-        assert cli_main(["solve-rlb", "--data", d,
-                         "--out", str(workdir / "rlb.ckpt")] + q) == 0
-        assert cli_main(["train-agent", *train_models, "--agent", "fdqi",
-                         "--out", str(workdir / "fdqi.ckpt")] + q) == 0
-
         report = workdir / "report.tsv"
         assert cli_main([
             "evaluate", "--data", d,
@@ -573,6 +584,7 @@ class TestCliPipeline:
                          "--model", str(workdir / "market_test.ckpt"),
                          "--set", "mmd_n=60", "--set", "mmd_repeats=5"]) == 0
 
+    @pytest.mark.usefixtures("pipeline")
     def test_train_env_checkpoints_rejected_for_test_eval(self, workdir):
         d = str(workdir / "data")
         code = cli_main([
@@ -584,6 +596,7 @@ class TestCliPipeline:
         ] + self.quick_sets())
         assert code == 2
 
+    @pytest.mark.usefixtures("pipeline")
     def test_click_utility_without_click_model_exits_2(self, workdir, tmp_path, capsys):
         out = tmp_path / "linbid.ckpt"
         assert cli_main([
@@ -688,6 +701,16 @@ class TestSynthSpecErrors:
         assert "mixture_weights" in capsys.readouterr().err
 
 
+class ConstantBidAgent:
+    """Always bids the same amount."""
+
+    def __init__(self, bid: float):
+        self._bid = float(bid)
+
+    def bid(self, obs) -> float:
+        return self._bid
+
+
 class TestEvaluatePolicy:
     def factory(self, seed=140):
         from rtblab.env import EnvMeta, SimEnv
@@ -704,20 +727,14 @@ class TestEvaluatePolicy:
         return make
 
     def test_zero_bidder_scores_zero(self):
-        from rtblab.agents import ConstantBidAgent
-
         res = evaluate_policy(self.factory(), ConstantBidAgent(0.0), 100.0, 20, 5)
         assert res.mean == 0.0 and res.std == 0.0
 
     def test_rich_max_bidder_wins_everything(self):
-        from rtblab.agents import ConstantBidAgent
-
         res = evaluate_policy(self.factory(), ConstantBidAgent(50.0), 1e9, 20, 4)
         assert res.mean == 20.0
 
     def test_fixed_seed_identical_totals(self):
-        from rtblab.agents import ConstantBidAgent
-
         a = evaluate_policy(self.factory(), ConstantBidAgent(6.0), 30.0, 20, 6)
         b = evaluate_policy(self.factory(), ConstantBidAgent(6.0), 30.0, 20, 6)
         assert a.totals == b.totals
@@ -739,8 +756,6 @@ class TestEvaluatePolicy:
             evaluate_policy(self.factory(), ShapeBugAgent(), 10.0, 20, 3)
 
     def test_budget_sweep_reward_pct_monotone(self):
-        from rtblab.agents import ConstantBidAgent
-
         table = budget_sweep({"const": ConstantBidAgent(6.0)}, self.factory(),
                              cpm_te=5000.0, t0=20, alphas=(0.25, 0.5, 1, 2, 4),
                              repeats=4)
