@@ -12,7 +12,11 @@ is always synthesized by the source tree of the checkout that holds
 this script, so every label reads the same log whatever --src it
 times. At each shape it times:
 
-- ingest: `SampleSet.from_records` on the parsed records, then `save`;
+- ingest: `parse_log`, `build_feature_dictionary` (min_count 1),
+  `SampleSet.from_records` and `save`, from the log file to the sample
+  file. The four names are the same in trees that parse a log into one
+  object per record and in trees that parse it into columns, so --src
+  times either;
 - load: `SampleSet.load` of that file;
 - fdqi: `fdqi_build_transitions` on the loaded set (t0 = 100);
 - rows_1: a 1-row `rows` of a tape-like batch (TAPE rows of the set),
@@ -55,10 +59,12 @@ and b) gives the same bytes as the per-layer arrays that earlier labels
 hashed. The labels before `flat-params` were recorded from trees with
 other layouts, which this script no longer drives, and the labels
 before `columnar-replay` timed a DDQN update on the tagged shape too.
-Only `parent` and `csr-only` (recorded together, `parent` from the tree
-before `csr-only`) have the rows_1, dot_1, dot_split and gather layers
-and host-scaled medians; the labels before them synthesized the log
-with the tree they timed. In trees that number a record's tags in set
+Only `csr-only`, `parent` and `column-ingest` have the rows_1, dot_1,
+dot_split and gather layers and host-scaled medians; the labels before
+them synthesized the log with the tree they timed. `parent` and
+`column-ingest` were recorded together, `parent` from the tree before
+`column-ingest`; the labels before those two timed ingest as
+`from_records` and `save` only, on records parsed beforehand. In trees that number a record's tags in set
 order, the tagged shape's dictionary follows the hash seed, so its
 hashes compare across labels only when PYTHONHASHSEED is fixed (it is
 recorded with the run).
@@ -102,11 +108,10 @@ MICRO_CALLS = 2000
 REPEATS = 5
 
 
-def records(shape, tmp):
-    """The parsed log of one shape, synthesized by this checkout's source
-    tree whatever --src is, so that every label reads the same log."""
-    from rtblab.data import load_schema, parse_log
-
+def synth_log(shape, tmp):
+    """(log path, schema path) of one shape, synthesized by this
+    checkout's source tree whatever --src is, so that every label reads
+    the same log."""
     spec = os.path.join(tmp, "spec.txt")
     with open(spec, "w", encoding="utf-8") as fh:
         fh.write(workloads.synth_spec_text())
@@ -117,7 +122,7 @@ def records(shape, tmp):
     log = os.path.join(raw, "log.tsv")
     if shape == "tagged":
         workloads.add_user_tags(log, 1)
-    return parse_log(log, load_schema(os.path.join(raw, "schema.txt")))[0]
+    return log, os.path.join(raw, "schema.txt")
 
 
 def filled_buffer(samples):
@@ -187,19 +192,22 @@ def per_call(fn, calls=CALLS) -> float:
 def time_shape(shape, tmp, host_ref) -> dict:
     from rtblab.agents import ActionGrid, QNetwork, ddqn_loss, fdqi_build_transitions
     from rtblab.agents.replay import batch_arrays
-    from rtblab.data import SampleSet, build_feature_dictionary
+    from rtblab.data import SampleSet, build_feature_dictionary, load_schema, parse_log
     from rtblab.optim import AdamState, adam_step
     from rtblab.rng import stream
 
-    recs = records(shape, tmp)
-    fdict = build_feature_dictionary(recs, 1)
+    log, schema = synth_log(shape, tmp)
+    schema = load_schema(schema)
     path = os.path.join(tmp, f"{shape}.samples")
     grid = ActionGrid.from_max_price(300.0)
 
     def ingest():
-        SampleSet.from_records(recs, fdict).save(path)
+        parsed = parse_log(log, schema)[0]
+        fdict = build_feature_dictionary(parsed, 1)
+        SampleSet.from_records(parsed, fdict).save(path)
+        return fdict
 
-    ingest()
+    fdict = ingest()
     samples = SampleSet.load(path)
     one_hot = shape == "one-hot"
     buf = filled_buffer(samples) if one_hot else None
@@ -259,7 +267,7 @@ def time_shape(shape, tmp, host_ref) -> dict:
     if len(outputs) != 1:
         raise SystemExit(f"{shape}: repeats gave different outputs")
     out = {
-        "name": shape, "records": len(recs), "width": fdict.width, "t0": T0,
+        "name": shape, "records": len(samples), "width": fdict.width, "t0": T0,
         "batch": BATCH, "calls": CALLS, "repeats": REPEATS,
         "outputs_sha256": dict(outputs.pop()),
         "median_ms": {k: 1e3 * statistics.median(v) for k, v in times.items()},

@@ -33,6 +33,12 @@ whose nets and gradients are one flat vector each can be timed into the
 same file. Those vectors hold each layer's w and b in layer order, so
 the hash equals that of the labels before `flat-params`, recorded from
 trees that kept per-layer arrays, which this script no longer drives.
+The layer inputs are made in the nets' dtype. `parent-float64` and
+`float32` were recorded together: `parent-float64` from the tree before
+`float32`, whose market-state nets are float64 (its hashes equal
+`host-scaled`'s), and `float32` from the tree whose generator and critic
+are float32 and draw their Gumbel noise as -log(Exp(1)), so its hashes
+differ from every earlier label's.
 """
 
 import os
@@ -114,14 +120,16 @@ def time_shape(name, field_dims, batch, hidden, z_dim, host_ref) -> dict:
     gen = build_generator(fdict, cfg, stream(1, "bench", "gen"))
     critic = build_critic(fdict.width, cfg, stream(1, "bench", "critic"))
     g = stream(1, "bench", "data")
-    real = train.rows(np.arange(batch)).dense()
+    # the batches in the nets' dtype (float64 or float32, by tree)
+    dtype = critic.params.dtype
+    real = train.rows(np.arange(batch)).dense().astype(dtype)
     z = g.standard_normal((batch, z_dim))
-    noise = gumbel(g, (batch, fdict.width))
+    noise = gumbel(g, (batch, fdict.width)).astype(dtype)
     fake = generator_forward(gen, z, cfg.tau, noise)
-    t = g.random((batch, 1))
+    t = g.random((batch, 1)).astype(dtype)
     x_hat = t * real + (1.0 - t) * fake
     _, trace = mlp_forward(critic, real, record=True)
-    ones = np.ones((batch, 1))
+    ones = np.ones((batch, 1), dtype)
 
     def train_once():
         out = train_market_state_model(train, val, fdict, cfg, stream(1, "bench", "train"))

@@ -1,11 +1,14 @@
 """Dense MLP arithmetic with reverse-mode automatic differentiation.
 
-Everything is float64 numpy. The network family is fixed: stacks of
-affine layers with rectifier / tanh / identity activations, which covers
-every network used in the package. A network's parameters are one flat
-vector, its layers views into it, and each parameter gradient is one
-vector in the same layout. Gradients are computed by an explicit
-layer-by-layer backward pass over a recorded trace; the second-order
+The network family is fixed: stacks of affine layers with rectifier /
+tanh / identity activations, which covers every network used in the
+package. A network's parameters are one flat vector, its layers views
+into it, and each parameter gradient is one vector in the same layout.
+The arithmetic follows the dtype of that vector: inputs and seeds are
+cast to it, so a float32 net (the market-state generator and critic)
+runs in float32 and a float64 net (every other net, and the
+finite-difference oracles) in float64. Gradients are computed by an
+explicit layer-by-layer backward pass over a recorded trace; the second-order
 quantity needed by the critic's input-gradient penalty is computed
 forward-over-reverse (a directional derivative pushed through both the
 forward and the backward pass).
@@ -27,7 +30,7 @@ def _relu(z):
 
 
 def _relu_d(z, a):
-    return (z > 0.0).astype(np.float64)
+    return (z > 0.0).astype(z.dtype)
 
 
 def _tanh_d(z, a):
@@ -64,10 +67,12 @@ def split(flat: np.ndarray, shapes) -> list:
 
 
 def pack(arrays) -> tuple:
-    """One new float64 vector holding the arrays end to end, and a view
-    into it shaped like each array."""
-    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-    return flat, split(flat, [np.shape(a) for a in arrays])
+    """One new vector holding the arrays end to end, and a view into it
+    shaped like each array. It is float32 when every array is, else float64."""
+    arrays = [np.asarray(a) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays],
+                          dtype=np.result_type(np.float32, *arrays))
+    return flat, split(flat, [a.shape for a in arrays])
 
 
 @dataclass
@@ -132,8 +137,8 @@ class MlpTrace:
     squeeze: bool             # input was 1-D
 
 
-def _as_batch(x) -> tuple:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x, dtype) -> tuple:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 1:
         return x[None, :], True
     if x.ndim == 2:
@@ -147,7 +152,7 @@ def mlp_forward(net: Mlp, x, record: bool = False):
     Returns the output, or (output, trace) when record is set. A 1-D
     input yields a 1-D output.
     """
-    x, squeeze = _as_batch(x)
+    x, squeeze = _as_batch(x, net.params.dtype)
     if x.shape[1] != net.in_dim:
         raise DimensionError(
             f"input dim {x.shape[1]} does not match first layer ({net.in_dim})"
@@ -172,7 +177,8 @@ def mlp_forward(net: Mlp, x, record: bool = False):
 def mlp_backward(trace: MlpTrace, seed, param_rows: slice = slice(None)) -> tuple:
     """Pull an output seed back to parameter and input gradients.
 
-    Computes d(sum(seed * output))/d(each w, b) and d/d(input).
+    Computes d(sum(seed * output))/d(each w, b) and d/d(input), in the
+    net's dtype.
     Returns (grads, dinput), grads one vector [dw1, db1, dw2, db2, ...]
     in the layout of net.params. The parameter gradients take only the
     `param_rows` share of the seed; dinput covers every row.
@@ -180,7 +186,7 @@ def mlp_backward(trace: MlpTrace, seed, param_rows: slice = slice(None)) -> tupl
     if not isinstance(trace, MlpTrace) or not trace.zs:
         raise ValueError("backward needs a trace recorded by mlp_forward(record=True)")
     net = trace.net
-    s, _ = _as_batch(seed)
+    s, _ = _as_batch(seed, net.params.dtype)
     if s.shape != trace.acts[-1].shape:
         raise DimensionError(
             f"seed shape {s.shape} does not match output {trace.acts[-1].shape}"
@@ -218,7 +224,7 @@ def gradient_penalty(net: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tuple:
     """
     if net.out_dim != 1:
         raise DimensionError("gradient penalty needs a scalar-output network")
-    x = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x_hat, dtype=net.params.dtype))
     if x.shape[1] != net.in_dim:
         raise DimensionError(
             f"input dim {x.shape[1]} does not match critic ({net.in_dim})"
@@ -286,11 +292,14 @@ def gumbel_softmax(logits, tau: float, noise, starts=(0,)) -> np.ndarray:
     `starts` (by default one block), and each block of each row is a
     separate softmax. `noise` must be standard Gumbel draws of the same
     shape. Each block is a simplex point; tau -> 0 approaches one-hot at
-    the block's argmax(logits+noise).
+    the block's argmax(logits+noise). Float32 logits give float32
+    samples (the noise is cast to them); anything else runs in float64.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    u = (np.asarray(logits, dtype=np.float64) + np.asarray(noise, dtype=np.float64)) / tau
+    logits = np.asarray(logits)
+    dtype = np.result_type(np.float32, logits)
+    u = (logits.astype(dtype, copy=False) + np.asarray(noise, dtype=dtype)) / tau
     widths = _block_widths(starts, u.shape[-1])
     u = u - np.repeat(np.maximum.reduceat(u, starts, axis=-1), widths, axis=-1)
     e = np.exp(u)

@@ -2,10 +2,11 @@
 
 The container is a one-line JSON manifest followed by named
 little-endian array blobs, with an integrity hash over the payload.
-Integer arrays are stored as int32 ("<i4") and all others as float64
-("<f8"); each directory entry names its dtype, and an entry without one
-(written before dtypes were recorded) is float64. Round trips are
-bit-exact.
+Integer arrays are stored as int32 ("<i4"), float32 arrays (the
+market-state generator and critic) as float32 ("<f4") and all others
+as float64 ("<f8"); each directory entry names its dtype, and an entry
+without one (written before dtypes were recorded) is float64. Round
+trips are bit-exact and keep the dtype.
 
 Every typed manifest is built by _manifest (type, split, the config as
 strings, then the kind's own fields), and every typed file is opened by
@@ -35,7 +36,7 @@ from .market_action import ClickModel, PriceModel
 from .market_state import Generator
 
 MAGIC = "rtbckpt 1"
-DTYPES = ("<f8", "<i4")
+DTYPES = ("<f8", "<f4", "<i4")
 KIND_NAMES = {"market_state": "a market-state", "price": "a price-model",
               "click": "a click-model", "agent": "an agent"}
 Q_AGENTS = ("exddqn", "fdqi")
@@ -53,6 +54,8 @@ def save_checkpoint(path, manifest: dict, arrays: dict) -> None:
             if arr.size and (arr.min() < info.min or arr.max() > info.max):
                 raise ValueError(f"array {name!r} does not fit in int32")
             dtype = "<i4"
+        elif arr.dtype == np.float32:
+            dtype = "<f4"
         else:
             dtype = "<f8"
         directory.append({"name": name, "shape": list(arr.shape), "dtype": dtype})

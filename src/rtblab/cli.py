@@ -99,11 +99,11 @@ def cmd_synth(args):
 def cmd_ingest(args):
     cfg = _cfg(args)
     schema = load_schema(args.schema)
-    records, skipped = parse_log(args.log, schema)
-    if not records:
+    log, skipped = parse_log(args.log, schema)
+    if not len(log):
         raise DataError(f"no parseable records in {args.log}")
-    fdict = build_feature_dictionary(records, cfg_int(cfg, "min_count"))
-    all_samples = SampleSet.from_records(records, fdict)
+    fdict = build_feature_dictionary(log, cfg_int(cfg, "min_count"))
+    all_samples = SampleSet.from_records(log, fdict)
     parts = split_day_indices(all_samples.timestamps, (0.60, 0.15, 0.25))
     os.makedirs(args.out, exist_ok=True)
     fdict.save(os.path.join(args.out, "dict.txt"))

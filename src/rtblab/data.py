@@ -3,15 +3,22 @@ featurization, day splits, and dataset statistics.
 
 Input logs are UTF-8 TSV with a schema file declaring `name:type` per
 line. A losing row carries an empty pay_price (the market price is
-censored). Featurization turns each record into the active indices of a
-sparse one-hot vector, exactly one per field; the usertag block is the
-single exception, where every tag is its own binary feature. Requests
-travel as PackedRequests batches, from the sample file to the replay:
-one CSR layout whose `dot` sums each row the same way in every batch.
+censored). Ingest works on columns, never on one object per record:
+parse_log reads the log a chunk at a time into a ParsedLog, which holds
+each feature field as integer codes of its categories (derived once per
+distinct raw value) and the bid/price/win/click/timestamp columns as
+arrays. build_feature_dictionary keeps the categories seen often enough,
+and SampleSet.from_records writes the featurized CSR arrays directly.
+Each request is the active indices of a sparse one-hot vector, exactly
+one per field; the usertag block is the single exception, where every
+tag is its own binary feature. Requests travel as PackedRequests
+batches, from the sample file to the replay: one CSR layout whose `dot`
+sums each row the same way in every batch.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -41,28 +48,15 @@ DIM_BINS = (160, 300, 468, 728, 960)
 
 MS_PER_DAY = 86_400_000
 
-COLUMN_TYPES = {"int": int, "float": float, "str": str}
-
-
-@dataclass
-class RawRecord:
-    timestamp: int  # epoch milliseconds
-    user_agent: str
-    region: str
-    city: str
-    ad_exchange: str
-    domain: str
-    slot_id: str
-    slot_visibility: str
-    slot_format: str
-    slot_width: int
-    slot_height: int
-    user_tags: frozenset
-    bid_price: float
-    pay_price: float  # nan when censored (lost auction)
-    win: bool
-    click: bool
-
+# rows of one field's codes that have no category (an unmatched user agent)
+NO_CATEGORY = -1
+# the one multi-valued field: every tag of a request is its own feature
+TAG_FIELD = "usertag"
+# log text read per pass, a few hundred lines: ingest keeps no Python
+# object per line beyond one chunk, and the chunk stays under the 128 KiB
+# above which malloc maps (and on free, raises that threshold), so the
+# heap stays as small as reading line by line left it
+CHUNK_CHARS = 1 << 16
 
 # the standard column layout written by the synthesizer and expected by ingest
 DEFAULT_SCHEMA = (
@@ -85,11 +79,12 @@ DEFAULT_SCHEMA = (
 )
 
 _VALID_COLUMN_TYPES = {"int", "float", "str", "tags", "price", "flag"}
-_REQUIRED_COLUMNS = {name for name, _ in DEFAULT_SCHEMA}
+_REQUIRED_TYPES = dict(DEFAULT_SCHEMA)
 
 
 def load_schema(path) -> tuple:
-    """Read a `name:type` schema file into an ordered column list."""
+    """Read a `name:type` schema file into an ordered column list. Extra
+    columns may have any type; the required ones keep their standard types."""
     cols = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -104,9 +99,14 @@ def load_schema(path) -> tuple:
                 cols.append((name, typ))
     except OSError as exc:
         raise ConfigError(f"cannot read schema file {path}: {exc}") from exc
-    missing = _REQUIRED_COLUMNS - {n for n, _ in cols}
+    types = dict(cols)
+    missing = _REQUIRED_TYPES.keys() - types.keys()
     if missing:
         raise ConfigError(f"schema missing required columns: {sorted(missing)}")
+    retyped = sorted(n for n, t in _REQUIRED_TYPES.items() if types[n] != t)
+    if retyped:
+        raise ConfigError(f"schema {path} changes the type of required columns "
+                          f"{retyped}; they must keep {_REQUIRED_TYPES}")
     return tuple(cols)
 
 
@@ -116,63 +116,33 @@ def save_schema(path, schema=DEFAULT_SCHEMA) -> None:
             fh.write(f"{name}:{typ}\n")
 
 
-def _parse_cell(raw: str, typ: str):
-    if typ == "int":
-        return int(raw)
-    if typ == "float":
-        return float(raw)
-    if typ == "str":
-        return raw
-    if typ == "tags":
-        return frozenset(t for t in raw.split(",") if t and t != "null")
-    if typ == "price":
-        return float(raw) if raw != "" else float("nan")
-    if typ == "flag":
-        if raw not in ("0", "1"):
-            raise ValueError(f"flag cell must be 0/1, got {raw!r}")
-        return raw == "1"
-    raise ConfigError(f"unknown column type {typ!r}")
+def _price(raw: str) -> float:
+    return float(raw) if raw != "" else float("nan")
 
 
-def parse_log(path, schema=DEFAULT_SCHEMA) -> tuple:
-    """Parse a TSV log into (records, skipped_count), in file order.
+# the cell parser of each column type that can refuse a cell (a flag
+# cell is 0 or 1, and any other raises KeyError)
+_CELL_PARSERS = {"int": int, "float": float, "price": _price,
+                 "flag": {"0": False, "1": True}.__getitem__}
+_REFUSED = (ValueError, TypeError, KeyError)
 
-    Malformed lines are skipped and counted; more than 10% malformed
-    aborts (that usually means the schema does not match the file).
-    """
-    names = [n for n, _ in schema]
-    types = dict(schema)
-    records, skipped, total = [], 0, 0
+
+def _parse_column(cells, parse) -> tuple:
+    """(values, bad): parse mapped over a column, and the rows whose cell
+    it refused (None when it refused none). The column is parsed cell by
+    cell only after the one map has raised."""
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read log {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            total += 1
-            cells = line.split("\t")
-            if len(cells) != len(names):
-                skipped += 1
-                continue
-            try:
-                row = {n: _parse_cell(c, types[n]) for n, c in zip(names, cells)}
-                rec = RawRecord(**{k: row[k] for k in _REQUIRED_COLUMNS})
-            except (ValueError, TypeError):
-                skipped += 1
-                continue
-            if rec.win and not math.isnan(rec.pay_price) and rec.pay_price > rec.bid_price:
-                skipped += 1  # violates second-price accounting
-                continue
-            records.append(rec)
-    # the wrong-schema heuristic needs enough lines to mean anything
-    if total >= 20 and skipped > 0.10 * total:
-        raise DataError(
-            f"{skipped}/{total} malformed lines in {path}; schema probably wrong"
-        )
-    return records, skipped
+        return list(map(parse, cells)), None
+    except _REFUSED:
+        pass
+    values, bad = [], []
+    for i, cell in enumerate(cells):
+        try:
+            values.append(parse(cell))
+        except _REFUSED:
+            values.append(None)
+            bad.append(i)
+    return values, bad
 
 
 def _bin_dimension(v: int) -> str:
@@ -182,34 +152,209 @@ def _bin_dimension(v: int) -> str:
     return f">{DIM_BINS[-1]}"
 
 
-def derive_fields(record: RawRecord) -> dict:
-    """Per-field categorical values for one record.
+def _os_of(user_agent: str):
+    ua = user_agent.lower()
+    return next((o for o in OSES if o in ua), None)
 
-    Values are strings, None (maps straight to the field's OTHER bucket),
-    or a frozenset for the multi-valued usertag field.
+
+def _browser_of(user_agent: str):
+    ua = user_agent.lower()
+    return next((b for b in BROWSERS if b in ua), None)
+
+
+def _tags_of(raw: str) -> list:
+    """A user_tags cell's distinct tags in sorted order ("null" is no tag);
+    sorted, not set order, which follows the hash seed."""
+    tags = set(raw.split(","))
+    tags.discard("")
+    tags.discard("null")
+    return sorted(tags)
+
+
+class _FieldCoder:
+    """Codes one field's categories 0, 1, ... in order of first appearance.
+
+    A raw column value is turned into its category by `derive` (the value
+    itself when None) once per distinct value in a chunk; a category of
+    None gets NO_CATEGORY. With `multi`, derive returns a list of
+    categories and a row holds all of them."""
+
+    def __init__(self, derive=None, multi=False):
+        self.derive, self.multi = derive, multi
+        self.index = {}     # category -> code
+        self.parts = []     # one code array per chunk
+        self.counts = []    # with multi: codes per row, one array per chunk
+
+    def add(self, values) -> None:
+        """Code one chunk's column; a chunk's distinct values are taken in
+        order of first appearance, so codes follow it across chunks."""
+        memo, index = {}, self.index    # raw value -> code (tuple with multi)
+        for v in dict.fromkeys(values):
+            cat = v if self.derive is None else self.derive(v)
+            if self.multi:
+                memo[v] = tuple([index.setdefault(c, len(index)) for c in cat])
+            else:
+                memo[v] = NO_CATEGORY if cat is None else index.setdefault(cat, len(index))
+        codes = map(memo.__getitem__, values)
+        if self.multi:
+            rows = list(codes)
+            self.counts.append(np.fromiter(map(len, rows), np.int64, len(rows)))
+            codes = chain.from_iterable(rows)
+        self.parts.append(np.fromiter(codes, np.int64))
+
+    def codes(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0, np.int64), *self.parts])
+
+
+@dataclass
+class ParsedLog:
+    """A parsed log, as columns in file order.
+
+    Each feature field f is coded: cats[f] lists its categories in order
+    of first appearance, and codes[f] gives each row's category as a
+    position in cats[f], or NO_CATEGORY
+    (an unmatched user agent, which maps straight to OTHER). The
+    multi-valued TAG_FIELD holds every row's distinct tags in sorted
+    order, back to back, and tag_ptr holds the n + 1 row offsets.
     """
-    day_ms = record.timestamp // MS_PER_DAY
-    weekday = (day_ms + 3) % 7  # epoch day 0 was a Thursday; 0 = Monday
-    hour = (record.timestamp // 3_600_000) % 24
-    ua = record.user_agent.lower()
-    os_name = next((o for o in OSES if o in ua), None)
-    browser = next((b for b in BROWSERS if b in ua), None)
-    return {
-        "weekday": str(weekday),
-        "hour": str(hour),
-        "os": os_name,
-        "browser": browser,
-        "region": record.region,
-        "city": record.city,
-        "ad_exchange": record.ad_exchange,
-        "domain": record.domain,
-        "slot_id": record.slot_id,
-        "slot_width": _bin_dimension(record.slot_width),
-        "slot_height": _bin_dimension(record.slot_height),
-        "slot_visibility": record.slot_visibility,
-        "slot_format": record.slot_format,
-        "usertag": record.user_tags,
-    }
+
+    cats: dict
+    codes: dict
+    tag_ptr: np.ndarray
+    timestamps: np.ndarray      # int64 epoch milliseconds
+    bids: np.ndarray
+    prices: np.ndarray          # nan when censored (lost auction)
+    wins: np.ndarray
+    clicks: np.ndarray
+
+    def __len__(self) -> int:
+        return self.timestamps.size
+
+
+# the raw-log column each feature field comes from, and the map from a
+# column value to the field's category (None: the value is the category);
+# weekday and hour are columns that ingest derives from the timestamp
+_FIELD_SOURCES = {
+    "weekday": ("weekday", str),
+    "hour": ("hour", str),
+    "os": ("user_agent", _os_of),
+    "browser": ("user_agent", _browser_of),
+    "region": ("region", None),
+    "city": ("city", None),
+    "ad_exchange": ("ad_exchange", None),
+    "domain": ("domain", None),
+    "slot_id": ("slot_id", None),
+    "slot_width": ("slot_width", _bin_dimension),
+    "slot_height": ("slot_height", _bin_dimension),
+    "slot_visibility": ("slot_visibility", None),
+    "slot_format": ("slot_format", None),
+    "usertag": ("user_tags", _tags_of),
+}
+# ParsedLog's numeric columns and the raw-log column of each
+_NUMERIC = (("timestamps", "timestamp", np.int64), ("bids", "bid_price", np.float64),
+            ("prices", "pay_price", np.float64), ("wins", "win", bool),
+            ("clicks", "click", bool))
+
+
+class _LogColumns:
+    """The kept rows of a log, added chunk by chunk as field codes and
+    numeric arrays."""
+
+    def __init__(self):
+        self.coders = {f: _FieldCoder(derive, multi=f == TAG_FIELD)
+                       for f, (_, derive) in _FIELD_SOURCES.items()}
+        self.numeric = {key: [] for key, _, _ in _NUMERIC}
+
+    def add(self, col: dict) -> None:
+        """Add one chunk: raw-log column name -> kept rows' values."""
+        ts = col["timestamp"]
+        # epoch day 0 was a Thursday; 0 = Monday
+        col["weekday"] = ((ts // MS_PER_DAY + 3) % 7).tolist()
+        col["hour"] = ((ts // 3_600_000) % 24).tolist()
+        for f, (name, _) in _FIELD_SOURCES.items():
+            self.coders[f].add(col[name])
+        for key, name, _ in _NUMERIC:
+            self.numeric[key].append(col[name])
+
+    def log(self) -> ParsedLog:
+        cats = {f: list(coder.index) for f, coder in self.coders.items()}
+        codes = {f: coder.codes() for f, coder in self.coders.items()}
+        tags = np.concatenate([np.zeros(0, np.int64), *self.coders[TAG_FIELD].counts])
+        num = {key: np.concatenate([np.zeros(0, dtype), *self.numeric[key]])
+               for key, _, dtype in _NUMERIC}
+        return ParsedLog(cats, codes, np.concatenate([[0], np.cumsum(tags)]),
+                         **num)
+
+
+def _parse_lines(lines, names, parsers, out: _LogColumns) -> int:
+    """Parse one chunk of non-empty lines into out; returns how many of
+    them it skipped: those with another number of cells than the schema
+    has columns, a cell a parser refuses, or a won price above the bid."""
+    rows = [line.split("\t") for line in lines]
+    rows = [r for r in rows if len(r) == len(names)]
+    if not rows:
+        return len(lines)
+    cells = list(zip(*rows))
+    ok = np.ones(len(rows), dtype=bool)
+    for i, parse in parsers:
+        cells[i], bad = _parse_column(cells[i], parse)
+        if bad:
+            ok[bad] = False
+    col = dict(zip(names, cells))   # a repeated name keeps its last column
+    if not ok.all():
+        col = {name: list(compress(v, ok)) for name, v in col.items()}
+    for _, name, dtype in _NUMERIC:
+        col[name] = np.array(col[name], dtype)
+    # a won price above the bid violates second-price accounting
+    price = col["pay_price"]
+    keep = ~(col["win"] & ~np.isnan(price) & (price > col["bid_price"]))
+    if not keep.all():
+        col = {name: v[keep] if isinstance(v, np.ndarray) else list(compress(v, keep))
+               for name, v in col.items()}
+    out.add(col)
+    return len(lines) - int(np.count_nonzero(keep))
+
+
+def _line_chunks(fh):
+    """Lists of the non-empty lines of fh, about CHUNK_CHARS of text each."""
+    carry = ""
+    for text in iter(lambda: fh.read(CHUNK_CHARS), ""):
+        head, _, carry = (carry + text).rpartition("\n")
+        yield [line for line in head.split("\n") if line]
+    if carry:
+        yield [carry]
+
+
+def parse_log(path, schema=DEFAULT_SCHEMA) -> tuple:
+    """Parse a TSV log into (ParsedLog, skipped_count), in file order.
+
+    The log is read CHUNK_CHARS at a time, and each chunk is parsed as
+    columns: every line split once, each column parsed with one map, each
+    field's categories derived once per distinct value. Empty lines are
+    ignored; malformed lines are skipped and counted, and more than 10%
+    malformed aborts (that usually means the schema does not match the
+    file).
+    """
+    names = [n for n, _ in schema]
+    types = dict(schema)
+    parsers = [(i, _CELL_PARSERS[types[n]]) for i, n in enumerate(names)
+               if types[n] in _CELL_PARSERS]
+    out = _LogColumns()
+    skipped, total = 0, 0
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read log {path}: {exc}") from exc
+    with fh:
+        for lines in _line_chunks(fh):
+            total += len(lines)
+            skipped += _parse_lines(lines, names, parsers, out)
+    # the wrong-schema heuristic needs enough lines to mean anything
+    if total >= 20 and skipped > 0.10 * total:
+        raise DataError(
+            f"{skipped}/{total} malformed lines in {path}; schema probably wrong"
+        )
+    return out.log(), skipped
 
 
 @dataclass
@@ -286,54 +431,24 @@ class FeatureDict:
         return cls(tuple(fields), maps, min_count)
 
 
-def build_feature_dictionary(records, min_count: int) -> FeatureDict:
-    """Count categories per field and keep those seen >= min_count times.
+def build_feature_dictionary(log: ParsedLog, min_count: int) -> FeatureDict:
+    """Keep each field's categories seen in >= min_count rows.
 
     Index order is deterministic: field order, then first appearance in
-    the corpus, a record's tags taken in sorted order. Rarer categories
-    fall into the per-field OTHER bucket.
+    the log, a row's tags taken in sorted order. Rarer categories fall
+    into the per-field OTHER bucket.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    counts = {f: {} for f in FIELDS}  # insertion order = first appearance
-    n = 0
-    for rec in records:
-        n += 1
-        cats = derive_fields(rec)
-        for f in FIELDS:
-            v = cats[f]
-            if v is None:
-                continue
-            if isinstance(v, frozenset):
-                for tag in sorted(v):   # not set order, which follows the hash seed
-                    counts[f][tag] = counts[f].get(tag, 0) + 1
-            else:
-                counts[f][v] = counts[f].get(v, 0) + 1
-    if n == 0:
+    if len(log) == 0:
         raise DataError("cannot build a feature dictionary from an empty corpus")
     maps = {}
     for f in FIELDS:
-        kept = [c for c, k in counts[f].items() if k >= min_count]
-        maps[f] = {c: i for i, c in enumerate(kept)}
+        codes = log.codes[f]
+        rows = np.bincount(codes[codes != NO_CATEGORY], minlength=len(log.cats[f]))
+        kept = np.flatnonzero(rows >= min_count).tolist()
+        maps[f] = {log.cats[f][j]: i for i, j in enumerate(kept)}
     return FeatureDict(FIELDS, maps, min_count)
-
-
-def featurize(record: RawRecord, fdict: FeatureDict) -> np.ndarray:
-    """Active indices of one record: one per field; usertag may
-    contribute several."""
-    cats = derive_fields(record)
-    idx = []
-    for f in fdict.fields:
-        v = cats.get(f)
-        if isinstance(v, frozenset):
-            if not v:
-                idx.append(fdict.other_index(f))
-            else:
-                tag_idx = sorted({fdict.index(f, t) for t in v})
-                idx.extend(tag_idx)
-        else:
-            idx.append(fdict.index(f, v))
-    return np.asarray(idx, dtype=np.int64)
 
 
 @dataclass
@@ -367,28 +482,61 @@ class SampleSet:
         )
 
     @classmethod
-    def from_records(cls, records, fdict: FeatureDict) -> "SampleSet":
-        return cls(
-            PackedRequests.from_rows([featurize(r, fdict) for r in records], fdict.width),
-            np.array([r.bid_price for r in records], dtype=np.float64),
-            np.array([r.pay_price for r in records], dtype=np.float64),
-            np.array([r.win for r in records], dtype=bool),
-            np.array([r.click for r in records], dtype=bool),
-            np.array([r.timestamp for r in records], dtype=np.int64),
-            fdict.width,
-        )
+    def from_records(cls, log: ParsedLog, fdict: FeatureDict) -> "SampleSet":
+        """Featurize a parsed log. A row's active indices follow the field
+        order, one per field, except in the TAG_FIELD block: the row's
+        known tags in index order, then one OTHER for any unknown ones,
+        or OTHER alone when the row has no tag."""
+        n, width = len(log), fdict.width
+        blocks = []                 # (indices, per-row counts or None for 1)
+        for f in fdict.fields:
+            # a field's global index by code; the last entry serves NO_CATEGORY
+            known = fdict.maps[f]
+            lut = np.array([known.get(c, -1) for c in log.cats[f]] + [-1], np.int64)
+            lut = np.where(lut < 0, fdict.other_index(f), fdict.offset(f) + lut)
+            if f != TAG_FIELD:
+                blocks.append((lut[log.codes[f]], None))
+                continue
+            # sort and deduplicate each row's indices at once as row * width + index
+            rows = np.repeat(np.arange(n), np.diff(log.tag_ptr))
+            untagged = np.flatnonzero(log.tag_ptr[1:] == log.tag_ptr[:-1])
+            keys = np.unique(np.concatenate([rows * width + lut[log.codes[f]],
+                                             untagged * width + fdict.other_index(f)]))
+            blocks.append((keys % width, np.bincount(keys // width, minlength=n)))
+        counts = sum(np.ones(n, np.int64) if c is None else c for _, c in blocks)
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        idx = np.empty(ptr[-1], np.int64)
+        at = ptr[:-1].copy()        # where each row's next index goes
+        for values, c in blocks:
+            if c is None:
+                idx[at] = values
+                at += 1
+            else:
+                # entry j of a row's block goes to at + j
+                starts = np.concatenate([[0], np.cumsum(c)[:-1]])
+                idx[np.repeat(at - starts, c) + np.arange(values.size)] = values
+                at += c
+        return cls(PackedRequests(idx, width, counts), log.bids, log.prices, log.wins,
+                   log.clicks, log.timestamps, width)
 
     def save(self, path) -> None:
+        """One line per row: timestamp, win, click, bid (repr), price (repr,
+        empty when censored) and the comma-joined indices, tab-separated."""
         ptr = self.requests.ptr.tolist()
-        tokens = [str(j) for j in self.requests.indices.tolist()]
-        columns = zip(self.timestamps.tolist(), self.wins.tolist(), self.clicks.tolist(),
-                      self.bids.tolist(), self.prices.tolist(), ptr[:-1], ptr[1:])
+        # format each distinct index once
+        uniq, inverse = np.unique(self.requests.indices, return_inverse=True)
+        tokens = list(map(list(map(str, uniq.tolist())).__getitem__, inverse.tolist()))
+        columns = zip(
+            map(str, self.timestamps.tolist()),
+            map(str, self.wins.view(np.uint8).tolist()),
+            map(str, self.clicks.view(np.uint8).tolist()),
+            map(repr, self.bids.tolist()),
+            ["" if math.isnan(p) else repr(p) for p in self.prices.tolist()],
+            [",".join(tokens[lo:hi]) for lo, hi in zip(ptr[:-1], ptr[1:])],
+        )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"samples 1 {self.width}\n")
-            for t, w, c, b, p, lo, hi in columns:
-                price = "" if math.isnan(p) else repr(p)
-                idx = ",".join(tokens[lo:hi])
-                fh.write(f"{t}\t{int(w)}\t{int(c)}\t{b!r}\t{price}\t{idx}\n")
+            fh.writelines(map("".join, zip(map("\t".join, columns), repeat("\n"))))
 
     @classmethod
     def load(cls, path) -> "SampleSet":
@@ -648,8 +796,8 @@ class PackedRequests:
         return self._wrap(self.idx[shift + np.arange(ptr[-1])], ptr, self.width,
                           _shared_count(counts))
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((len(self), self.width))
+    def dense(self, dtype=np.float64) -> np.ndarray:
+        out = np.zeros((len(self), self.width), dtype)
         out[np.repeat(np.arange(len(self)), self.counts), self.indices] = 1.0
         return out
 

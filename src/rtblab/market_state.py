@@ -8,6 +8,10 @@ Simulation-time sampling takes the per-field argmax of a relaxed draw,
 so emitted requests are exact one-hots. Every sampler (generator,
 empirical, uniform) draws n requests with one call, sample_batch(n),
 which returns them as one n-row PackedRequests.
+
+The generator and critic are float32 (NET_DTYPE): their real batches,
+interpolation weights and Gumbel noise are made in that dtype, and the
+autodiff runs in it. A net built elsewhere keeps its own dtype.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +33,8 @@ from .rng import gumbel
 
 # relative change of the validation gap's window means that counts as stable
 STOP_TOL = 1e-3
+# dtype of the nets build_generator and build_critic make
+NET_DTYPE = np.float32
 
 
 @dataclass
@@ -75,6 +81,10 @@ class Generator:
     def starts(self) -> tuple:
         return tuple(lo for lo, _ in self.slices)
 
+    @property
+    def dtype(self):
+        return self.net.params.dtype
+
 
 def field_slices(fdict: FeatureDict) -> tuple:
     return tuple(
@@ -85,13 +95,13 @@ def field_slices(fdict: FeatureDict) -> tuple:
 def build_generator(fdict: FeatureDict, cfg: WganConfig, rng) -> Generator:
     dims = [cfg.z_dim, *cfg.gen_hidden, fdict.width]
     acts = [cfg.activation] * len(cfg.gen_hidden) + ["identity"]
-    return Generator(make_mlp(dims, acts, rng), field_slices(fdict), cfg.z_dim)
+    return Generator(make_mlp(dims, acts, rng, NET_DTYPE), field_slices(fdict), cfg.z_dim)
 
 
 def build_critic(width: int, cfg: WganConfig, rng) -> Mlp:
     dims = [width, *cfg.critic_hidden, 1]
     acts = [cfg.activation] * len(cfg.critic_hidden) + ["identity"]
-    return make_mlp(dims, acts, rng)
+    return make_mlp(dims, acts, rng, NET_DTYPE)
 
 
 def generator_forward(gen: Generator, z: np.ndarray, tau: float, noise: np.ndarray,
@@ -116,7 +126,7 @@ class GeneratorSampler:
 
     def sample_indices(self, n: int) -> np.ndarray:
         z = self.rng.standard_normal((n, self.gen.z_dim))
-        noise = gumbel(self.rng, (n, self.gen.width))
+        noise = gumbel(self.rng, (n, self.gen.width), self.gen.dtype)
         x = generator_forward(self.gen, z, self.tau, noise)
         idx = np.empty((n, len(self.gen.slices)), dtype=np.int64)
         for j, (lo, hi) in enumerate(self.gen.slices):
@@ -178,7 +188,7 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
     batches = [real, fake]
     if gp_lambda > 0.0:
         m = min(n_r, n_f)
-        t = rng.random((m, 1))
+        t = rng.random((m, 1), dtype=critic.params.dtype)
         x_hat = t * real[:m] + (1.0 - t) * fake[:m]
         batches.append(x_hat)
     scores, trace = mlp_forward(critic, np.concatenate(batches), record=True)
@@ -237,12 +247,13 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
         np.random.Philox(key=rng.integers(2**63))))
     g_state = AdamState(gen.net.params)
     c_state = AdamState(critic.params)
+    dtype = critic.params.dtype
 
     # fixed validation design keeps the stopping statistic low-variance
     v_rows = np.arange(min(len(val_pk), cfg.batch_size))
-    val_real = val_pk.rows(v_rows).dense()
+    val_real = val_pk.rows(v_rows).dense(dtype)
     val_z = rng.standard_normal((v_rows.size, cfg.z_dim))
-    val_noise = gumbel(rng, (v_rows.size, fdict.width))
+    val_noise = gumbel(rng, (v_rows.size, fdict.width), gen.dtype)
 
     diag = TrainDiagnostics()
     w = cfg.stop_window
@@ -250,9 +261,9 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
         for _ in range(cfg.critic_steps):
             rows = rng.choice(n_train, size=min(cfg.batch_size, n_train),
                               replace=n_train < cfg.batch_size)
-            real = train_pk.rows(rows).dense()
+            real = train_pk.rows(rows).dense(dtype)
             z = rng.standard_normal((rows.size, cfg.z_dim))
-            noise = gumbel(rng, (rows.size, fdict.width))
+            noise = gumbel(rng, (rows.size, fdict.width), gen.dtype)
             fake = generator_forward(gen, z, cfg.tau, noise)
             c_loss, c_grads, _ = critic_loss(critic, real, fake, cfg.gp_lambda, rng)
             if not np.isfinite(c_loss):
@@ -260,7 +271,7 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
             adam_step(critic.params, c_grads, c_state, lr=cfg.lr, weight_decay=cfg.l2)
 
         z = rng.standard_normal((min(cfg.batch_size, n_train), cfg.z_dim))
-        noise = gumbel(rng, (z.shape[0], fdict.width))
+        noise = gumbel(rng, (z.shape[0], fdict.width), gen.dtype)
         g_loss, g_grads = generator_loss(gen, critic, z, cfg.tau, noise)
         if not np.isfinite(g_loss):
             raise NumericalError(f"generator loss non-finite at iteration {it}")

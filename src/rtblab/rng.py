@@ -29,9 +29,13 @@ def stream(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *labels)))
 
 
-def gumbel(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard Gumbel(0, 1) draws, -log(-log U)."""
-    u = rng.random(shape)
-    # keep log args strictly inside (0, 1)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return -np.log(-np.log(u))
+def gumbel(rng: np.random.Generator, shape, dtype=np.float64) -> np.ndarray:
+    """Standard Gumbel(0, 1) draws in dtype, -log(E) for E ~ Exp(1).
+
+    E is floored at the dtype's smallest normal number: float32
+    standard_exponential returns an exact 0 a few times in 10^8 draws,
+    and -log(0) = inf would turn a Gumbel-softmax into NaN."""
+    e = rng.standard_exponential(shape, dtype=dtype)
+    np.maximum(e, np.finfo(dtype).tiny, out=e)
+    np.log(e, out=e)
+    return np.negative(e, out=e)

@@ -306,6 +306,40 @@ class TestAdam:
                     assert np.array_equal(v, r)
 
 
+def formula_adam(p, g, m, v, t, lr, weight_decay):
+    """Adam as one expression per moment, with fresh temporaries: the
+    reference for the in-place step."""
+    c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    if weight_decay:
+        g = g + weight_decay * p
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+class TestInPlaceAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_step_is_bitwise_the_formula(self, dtype, weight_decay):
+        rng = stream(22, "adam-in-place", weight_decay)
+        p = (rng.normal(size=300) * 3.0).astype(dtype)
+        ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        state = AdamState(p)
+        for t in range(1, 30):
+            # some gradients tiny or zero, so eps matters in some entries
+            g = (rng.normal(size=300) * 10.0 ** rng.integers(-9, 2, size=300)).astype(dtype)
+            g[::17] = 0.0
+            kept = g.copy()
+            adam_step(p, g, state, lr=0.05, weight_decay=weight_decay)
+            formula_adam(ref, g, m, v, t, 0.05, weight_decay)
+            assert np.array_equal(g, kept)          # the gradient is left alone
+            assert p.dtype == dtype and state.m.dtype == dtype
+            assert np.array_equal(p, ref)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
 class TestFlatLayout:
     def test_layers_view_params_in_order(self):
         net = random_mlp(stream(19, "layout"), [3, 4, 2], ["tanh", "identity"])
@@ -327,6 +361,18 @@ class TestFlatLayout:
         assert np.allclose(after[:, 1], before[:, 1] + 1.0)
         net.params[:] = 0.0
         assert np.all(mlp_forward(net, x) == 0.0)
+
+    def test_float32_layers_pack_and_run_in_float32(self):
+        net = make_mlp([3, 4, 1], ["tanh", "identity"], stream(23, "f32"), np.float32)
+        assert net.params.dtype == np.float32 and net.copy().params.dtype == np.float32
+        assert all(np.shares_memory(lay.w, net.params) for lay in net.layers)
+        out, trace = mlp_forward(net, np.ones((2, 3)), record=True)
+        grads, dx = mlp_backward(trace, np.ones((2, 1)))
+        _, p_grads, _ = gradient_penalty(net, np.ones((2, 3)))
+        assert out.dtype == grads.dtype == dx.dtype == p_grads.dtype == np.float32
+        # one float64 layer makes the whole vector float64
+        mixed = Mlp([net.layers[0], DenseLayer(np.ones((4, 1)), np.zeros(1))])
+        assert mixed.params.dtype == np.float64
 
     def test_copy_shares_no_memory(self):
         net = random_mlp(stream(21, "layout-copy"), [3, 4, 2], ["relu", "identity"])
@@ -359,6 +405,36 @@ class TestXavier:
     def test_non_2d_raises(self):
         with pytest.raises(ValueError):
             xavier_init((4,), stream(1, "x"))
+
+    def test_float32_draws_are_the_float64_draws_rounded(self):
+        a = xavier_init((8, 5), stream(17, "xavier"), np.float32)
+        b = xavier_init((8, 5), stream(17, "xavier"))
+        assert a.dtype == np.float32
+        assert np.array_equal(a, b.astype(np.float32))
+
+
+class ZeroExponential:
+    """A generator whose exponential draws are all exactly 0."""
+
+    def standard_exponential(self, shape, dtype=np.float64):
+        return np.zeros(shape, dtype)
+
+
+class TestGumbel:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_exponential_draws_stay_finite(self, dtype):
+        noise = gumbel(ZeroExponential(), (4, 3), dtype)
+        assert noise.dtype == dtype
+        assert np.all(noise == -np.log(np.finfo(dtype).tiny))
+        y = gumbel_softmax(np.zeros((4, 3), dtype), 0.667, noise, (0, 1))
+        assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_moments_monte_carlo(self, dtype):
+        # Gumbel(0, 1): mean is Euler's gamma, variance pi^2 / 6
+        g = gumbel(stream(24, "gumbel-mc"), 200_000, dtype).astype(np.float64)
+        assert abs(g.mean() - np.euler_gamma) < 0.01
+        assert abs(g.var() - np.pi ** 2 / 6) < 0.02
 
 
 def test_stream_split_independence():

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +12,18 @@ from rtblab.data import (
     DatasetStats,
     FeatureDict,
     PackedRequests,
+    NO_CATEGORY,
     PriceHistogram,
-    RawRecord,
     SampleSet,
     build_feature_dictionary,
     dataset_statistics,
-    derive_fields,
-    featurize,
     kl_divergence,
     load_schema,
     parse_log,
     save_schema,
     split_day_indices,
 )
-from rtblab.errors import DataError
+from rtblab.errors import ConfigError, DataError
 from rtblab.rng import stream
 from rtblab.synth import (
     SynthSpec,
@@ -34,6 +35,7 @@ MS_PER_DAY = 86_400_000
 
 
 def make_record(**kw):
+    """One log row's column values, typed as parse_log reads them."""
     base = dict(
         timestamp=3 * MS_PER_DAY + 7 * 3_600_000,
         user_agent="Mozilla/5.0 (Windows NT 6.1) Chrome/21.0",
@@ -53,7 +55,42 @@ def make_record(**kw):
         click=False,
     )
     base.update(kw)
-    return RawRecord(**base)
+    return base
+
+
+def log_line(rec) -> str:
+    cells = {name: str(v) for name, v in rec.items()}
+    cells["user_tags"] = ",".join(sorted(rec["user_tags"]))
+    cells["bid_price"] = repr(rec["bid_price"])
+    cells["pay_price"] = "" if np.isnan(rec["pay_price"]) else repr(rec["pay_price"])
+    cells["win"], cells["click"] = str(int(rec["win"])), str(int(rec["click"]))
+    return "\t".join(cells[name] for name, _ in DEFAULT_SCHEMA)
+
+
+def as_log(records):
+    """The ParsedLog of the records written out as a log file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(log_line(r) + "\n" for r in records)
+        log, skipped = parse_log(path)
+    assert skipped == 0 and len(log) == len(records)
+    return log
+
+
+def categories(rec) -> dict:
+    """Each field's category for one record (None: no category); the
+    usertag field's is the set of its tags."""
+    log = as_log([rec])
+    out = {f: None if codes[0] == NO_CATEGORY else log.cats[f][codes[0]]
+           for f, codes in log.codes.items() if f != "usertag"}
+    out["usertag"] = {log.cats["usertag"][c] for c in log.codes["usertag"]}
+    return out
+
+
+def features_of(rec, fdict) -> np.ndarray:
+    """The active indices of one record under fdict."""
+    return SampleSet.from_records(as_log([rec]), fdict).requests.indices
 
 
 def tobit_spec(logging_bid=(60.0, 60.0), sigma_b=np.log(25.0)):
@@ -102,20 +139,20 @@ class TestParse:
 
     def test_well_formed(self, tmp_path):
         path = self.write_log(tmp_path, [self.row(), self.row(), self.row()])
-        records, skipped = parse_log(path)
-        assert len(records) == 3 and skipped == 0
-        assert records[0].pay_price == 23.0 and records[0].win
+        log, skipped = parse_log(path)
+        assert len(log) == 3 and skipped == 0
+        assert log.prices[0] == 23.0 and log.wins[0]
 
     def test_missing_column_skipped(self, tmp_path):
         bad = self.row().rsplit("\t", 1)[0]  # drop last cell
         path = self.write_log(tmp_path, [self.row(), bad])
-        records, skipped = parse_log(path)
-        assert len(records) == 1 and skipped == 1
+        log, skipped = parse_log(path)
+        assert len(log) == 1 and skipped == 1
 
     def test_censored_price_is_nan(self, tmp_path):
         path = self.write_log(tmp_path, [self.row(pay_price="", win="0")])
-        records, _ = parse_log(path)
-        assert np.isnan(records[0].pay_price)
+        log, _ = parse_log(path)
+        assert np.isnan(log.prices[0])
 
     def test_too_many_malformed_raises(self, tmp_path):
         path = self.write_log(tmp_path, [self.row()] * 18 + ["garbage"] * 12)
@@ -126,6 +163,16 @@ class TestParse:
         with pytest.raises(DataError):
             parse_log(tmp_path / "missing.tsv")
 
+    @pytest.mark.parametrize("column", ["slot_width:str", "timestamp:float",
+                                        "pay_price:float", "user_tags:str"])
+    def test_retyped_required_column_is_a_config_error(self, tmp_path, column):
+        name = column.split(":")[0]
+        path = tmp_path / "schema.txt"
+        path.write_text("".join(f"{column}\n" if n == name else f"{n}:{t}\n"
+                                for n, t in DEFAULT_SCHEMA) + "extra:int\n")
+        with pytest.raises(ConfigError, match=name):
+            load_schema(path)
+
     def test_schema_round_trip(self, tmp_path):
         save_schema(tmp_path / "schema.txt")
         assert load_schema(tmp_path / "schema.txt") == DEFAULT_SCHEMA
@@ -135,35 +182,35 @@ class TestDeriveFields:
     def test_monday_midnight(self):
         # 1970-01-05 was a Monday; 00:30 UTC
         rec = make_record(timestamp=(4 * 86400 + 1800) * 1000)
-        cats = derive_fields(rec)
+        cats = categories(rec)
         assert cats["weekday"] == "0"
         assert cats["hour"] == "0"
 
     def test_user_agent_split(self):
-        cats = derive_fields(make_record(user_agent="Mozilla/5.0 (Windows NT) Chrome/21"))
+        cats = categories(make_record(user_agent="Mozilla/5.0 (Windows NT) Chrome/21"))
         assert (cats["os"], cats["browser"]) == ("windows", "chrome")
 
     def test_unmatched_agent_goes_other(self):
-        cats = derive_fields(make_record(user_agent="weirdbot/1.0"))
+        cats = categories(make_record(user_agent="weirdbot/1.0"))
         assert cats["os"] is None and cats["browser"] is None
 
     def test_slot_width_bin(self):
-        assert derive_fields(make_record(slot_width=300))["slot_width"] == "<=300"
-        assert derive_fields(make_record(slot_width=1200))["slot_width"] == ">960"
+        assert categories(make_record(slot_width=300))["slot_width"] == "<=300"
+        assert categories(make_record(slot_width=1200))["slot_width"] == ">960"
 
 
 class TestFeatureDictionary:
     def test_threshold_keeps_frequent_city(self):
         records = [make_record(city="16") for _ in range(600)]
         records += [make_record(city="999")]  # appears once
-        fdict = build_feature_dictionary(records, min_count=500)
+        fdict = build_feature_dictionary(as_log(records), min_count=500)
         assert "16" in fdict.maps["city"]
         assert "999" not in fdict.maps["city"]
 
     def test_rare_category_featurizes_to_other(self):
         records = [make_record(city="16") for _ in range(600)] + [make_record(city="999")]
-        fdict = build_feature_dictionary(records, min_count=500)
-        req = featurize(make_record(city="999"), fdict)
+        fdict = build_feature_dictionary(as_log(records), min_count=500)
+        req = features_of(make_record(city="999"), fdict)
         assert fdict.other_index("city") in req
 
     def test_deterministic_rebuild(self):
@@ -172,17 +219,17 @@ class TestFeatureDictionary:
             make_record(city=str(rng.integers(5)), domain=f"d{rng.integers(3)}.com")
             for _ in range(300)
         ]
-        a = build_feature_dictionary(records, min_count=10)
-        b = build_feature_dictionary(records, min_count=10)
+        a = build_feature_dictionary(as_log(records), min_count=10)
+        b = build_feature_dictionary(as_log(records), min_count=10)
         assert a.maps == b.maps and a.fields == b.fields
 
     def test_empty_corpus_raises(self):
         with pytest.raises(DataError):
-            build_feature_dictionary([], min_count=1)
+            build_feature_dictionary(as_log([]), min_count=1)
 
     def test_save_load_round_trip(self, tmp_path):
         records = [make_record(city=str(i % 4)) for i in range(400)]
-        fdict = build_feature_dictionary(records, min_count=50)
+        fdict = build_feature_dictionary(as_log(records), min_count=50)
         fdict.save(tmp_path / "dict.txt")
         loaded = FeatureDict.load(tmp_path / "dict.txt")
         assert loaded.maps == fdict.maps
@@ -198,8 +245,8 @@ class TestFeatureDictionary:
 class TestFeaturize:
     def test_one_hot_per_field(self):
         records = [make_record() for _ in range(10)]
-        fdict = build_feature_dictionary(records, min_count=1)
-        req = featurize(records[0], fdict)
+        fdict = build_feature_dictionary(as_log(records), min_count=1)
+        req = features_of(records[0], fdict)
         assert len(req) == len(fdict.fields)
         # exactly one active index inside every field block
         for f in fdict.fields:
@@ -209,16 +256,16 @@ class TestFeaturize:
 
     def test_unseen_goes_other(self):
         records = [make_record() for _ in range(10)]
-        fdict = build_feature_dictionary(records, min_count=1)
-        req = featurize(make_record(city="unseen-city"), fdict)
+        fdict = build_feature_dictionary(as_log(records), min_count=1)
+        req = features_of(make_record(city="unseen-city"), fdict)
         assert fdict.other_index("city") in req
 
     def test_usertag_multihot(self):
         records = [
             make_record(user_tags=frozenset({"a", "b"})) for _ in range(10)
         ]
-        fdict = build_feature_dictionary(records, min_count=1)
-        req = featurize(records[0], fdict)
+        fdict = build_feature_dictionary(as_log(records), min_count=1)
+        req = features_of(records[0], fdict)
         lo = fdict.offset("usertag")
         hi = lo + fdict.field_width("usertag")
         assert np.sum((req >= lo) & (req < hi)) == 2
@@ -234,8 +281,9 @@ class TestFeaturize:
             )
             for _ in range(1000)
         ]
-        fdict = build_feature_dictionary(records, min_count=5)
-        dense = SampleSet.from_records(records, fdict).requests.dense()
+        log = as_log(records)
+        fdict = build_feature_dictionary(log, min_count=5)
+        dense = SampleSet.from_records(log, fdict).requests.dense()
         assert np.all(dense.sum(axis=1) == len(fdict.fields))  # no usertags here
         assert set(np.unique(dense)) <= {0.0, 1.0}
 
@@ -273,8 +321,8 @@ class TestSplits:
 
 class TestStats:
     def as_samples(self, records):
-        fdict = build_feature_dictionary(records, min_count=1)
-        return SampleSet.from_records(records, fdict)
+        log = as_log(records)
+        return SampleSet.from_records(log, build_feature_dictionary(log, min_count=1))
 
     def test_two_record_arithmetic(self):
         records = [
@@ -369,17 +417,17 @@ class TestSyntheticMarket:
     def test_log_round_trip(self, tmp_path):
         market = generate_synthetic_market(tobit_spec(), 500, stream(10, "synth"))
         write_synthetic_log(market, tmp_path / "log.tsv", tmp_path / "schema.txt")
-        records, skipped = parse_log(tmp_path / "log.tsv", load_schema(tmp_path / "schema.txt"))
-        assert skipped == 0 and len(records) == 500
+        log, skipped = parse_log(tmp_path / "log.tsv", load_schema(tmp_path / "schema.txt"))
+        assert skipped == 0 and len(log) == 500
         s = market.samples
         for i in (0, 123, 499):
-            assert records[i].win == bool(s.wins[i])
-            assert records[i].click == bool(s.clicks[i])
-            assert records[i].bid_price == pytest.approx(float(s.bids[i]))
+            assert log.wins[i] == bool(s.wins[i])
+            assert log.clicks[i] == bool(s.clicks[i])
+            assert log.bids[i] == pytest.approx(float(s.bids[i]))
             if s.wins[i]:
-                assert records[i].pay_price == pytest.approx(float(s.prices[i]))
+                assert log.prices[i] == pytest.approx(float(s.prices[i]))
             else:
-                assert np.isnan(records[i].pay_price)
+                assert np.isnan(log.prices[i])
 
     def test_request_sums_are_bitwise_the_per_row_sums(self):
         # synth prices its requests with PackedRequests.dot

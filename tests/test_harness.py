@@ -40,6 +40,7 @@ from rtblab.market_state import (
     Generator,
     UniformSampler,
     WganConfig,
+    build_critic,
     build_generator,
 )
 from rtblab.mmd import mmd_benchmark, mmd_estimate
@@ -238,7 +239,7 @@ class TestCheckpointContainer:
         assert manifest == {"type": "test"}
         assert arrays["a"].dtype == np.float64
         assert np.array_equal(arrays["a"], values)
-        head["arrays"][0]["dtype"] = "<f4"
+        head["arrays"][0]["dtype"] = "<f2"
         p.write_bytes(f"{ckpt.MAGIC}\n{json.dumps(head)}\n".encode() + payload)
         with pytest.raises(DataError):
             ckpt.load_checkpoint(p)
@@ -323,8 +324,6 @@ class TestCheckpointContainer:
         fdict = synth_feature_dict((2, 2))
         cfg = WganConfig(z_dim=4, gen_hidden=(6,), critic_hidden=(6,))
         gen = build_generator(fdict, cfg, stream(137, "g"))
-        from rtblab.market_state import build_critic
-
         critic = build_critic(fdict.width, cfg, stream(137, "c"))
         path = tmp_path / "m.ckpt"
         ckpt.save_market_state(path, gen, critic, "test", "hash", {"wgan_tau": 0.667}, 42)
@@ -336,6 +335,26 @@ class TestCheckpointContainer:
             for lay in net2.layers:
                 assert np.shares_memory(lay.w, net2.params)
                 assert np.shares_memory(lay.b, net2.params)
+
+    def test_float32_market_state_is_stored_and_read_as_float32(self, tmp_path):
+        fdict = synth_feature_dict((2, 3))
+        cfg = WganConfig(z_dim=3, gen_hidden=(5,), critic_hidden=(4,))
+        gen = build_generator(fdict, cfg, stream(138, "g"))
+        critic = build_critic(fdict.width, cfg, stream(138, "c"))
+        path = tmp_path / "m.ckpt"
+        ckpt.save_market_state(path, gen, critic, "train", "hash", {}, 1)
+        with open(path, "rb") as fh:
+            fh.readline()
+            directory = json.loads(fh.readline())["arrays"]
+        assert {entry["dtype"] for entry in directory} == {"<f4"}
+        payload = path.read_bytes().split(b"\n", 2)[2]   # after the two header lines
+        assert len(payload) == 4 * (gen.net.params.size + critic.params.size)
+        gen2, critic2, _ = ckpt.load_market_state(path)
+        for net, net2 in ((gen.net, gen2.net), (critic, critic2)):
+            assert net2.params.dtype == np.float32
+            assert np.array_equal(net.params, net2.params)
+            assert all(np.shares_memory(a, net2.params)
+                       for lay in net2.layers for a in (lay.w, lay.b))
 
     # sha256 of each kind's file, recorded with the per-kind agent writers
     # that save_agent replaced: any change to a format fails here

@@ -41,6 +41,22 @@ def toy_fdict():
     return synth_feature_dict((2, 3))
 
 
+def as_float64(net):
+    """A float64 copy of net: finite-difference oracles need float64."""
+    return Mlp([DenseLayer(lay.w.astype(np.float64), lay.b.astype(np.float64), lay.act)
+                for lay in net.layers])
+
+
+class FixedUniform:
+    """Interpolation weights t given in advance, in the dtype asked for."""
+
+    def __init__(self, t):
+        self.t = np.asarray(t, dtype=np.float64)
+
+    def random(self, shape, dtype=np.float64):
+        return self.t[: shape[0]].reshape(shape).astype(dtype)
+
+
 def linear_critic(v):
     v = np.asarray(v, dtype=np.float64)
     return Mlp([DenseLayer(v[:, None], np.zeros(1), "identity")])
@@ -77,7 +93,7 @@ class TestGeneratorSampling:
         gen = build_generator(fdict, TOY_CFG, stream(50, "gen"))
         rng = stream(50, "draw")
         z = rng.standard_normal((40, gen.z_dim))
-        noise = gumbel(rng, (40, fdict.width))
+        noise = gumbel(rng, (40, fdict.width), gen.dtype)
         soft = generator_forward(gen, z, TOY_CFG.tau, noise)
         x = np.zeros_like(soft)
         for lo, hi in gen.slices:
@@ -96,10 +112,14 @@ class TestGeneratorSampling:
         rng = stream(51, "draw")
         z = rng.standard_normal((25, gen.z_dim))
         noise = gumbel(rng, (25, fdict.width))
-        x = generator_forward(gen, z, TOY_CFG.tau, noise)
-        for lo, hi in gen.slices:
-            assert np.max(np.abs(x[:, lo:hi].sum(axis=1) - 1.0)) <= 1e-12
-            assert np.all(x[:, lo:hi] >= 0.0)
+        # the bound is float64's; the float32 net is held to float32's
+        gen64 = Generator(as_float64(gen.net), gen.slices, gen.z_dim)
+        for net, tol in ((gen64, 1e-12), (gen, 8 * np.finfo(np.float32).eps)):
+            x = generator_forward(net, z, TOY_CFG.tau, noise)
+            assert x.dtype == net.dtype
+            for lo, hi in gen.slices:
+                assert np.max(np.abs(x[:, lo:hi].sum(axis=1) - 1.0)) <= tol
+                assert np.all(x[:, lo:hi] >= 0.0)
 
     def test_gumbel_max_monte_carlo(self):
         # uniform categorical over 4 (zero logits), hard argmax of the relaxed draw
@@ -278,7 +298,8 @@ class TestGeneratorLoss:
         cfg = WganConfig(batch_size=4, z_dim=3, gen_hidden=(4,),
                          critic_hidden=(4,), activation="tanh")
         gen = build_generator(fdict, cfg, stream(60, "gen"))
-        critic = build_critic(fdict.width, cfg, stream(60, "crit"))
+        gen = Generator(as_float64(gen.net), gen.slices, gen.z_dim)
+        critic = as_float64(build_critic(fdict.width, cfg, stream(60, "crit")))
         rng = stream(60, "z")
         z = rng.standard_normal((3, 3))
         noise = gumbel(rng, (3, fdict.width))
@@ -313,6 +334,44 @@ class TestGeneratorLoss:
         gen.net.params -= 1e-3 * grads
         after, _ = generator_loss(gen, critic, z, 0.667, noise)
         assert after < before
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("shape", [
+        ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 64, (32,)),   # learn-market
+        ((3, 4), 256, (64, 64, 32)),                                  # criterion 4
+    ])
+    def test_critic_step_gradient_is_near_float64(self, shape):
+        dims, batch, hidden = shape
+        fdict = synth_feature_dict(dims)
+        cfg = WganConfig(batch_size=batch, z_dim=8, gen_hidden=hidden, critic_hidden=hidden)
+        gen = build_generator(fdict, cfg, stream(70, "gen"))
+        critic = build_critic(fdict.width, cfg, stream(70, "crit"))
+        assert gen.dtype == critic.params.dtype == np.float32
+        rng = stream(70, "data")
+        idx = np.stack([rng.integers(lo, hi, size=batch) for lo, hi in gen.slices], axis=1)
+        real = PackedRequests(idx, fdict.width).dense(np.float32)
+        fake = generator_forward(gen, rng.standard_normal((batch, cfg.z_dim)), cfg.tau,
+                                 gumbel(rng, (batch, fdict.width), np.float32))
+        t = rng.integers(0, 1024, size=batch) / 1024     # exact in float32
+        loss, grads, _ = critic_loss(critic, real, fake, 10.0, FixedUniform(t))
+        want_loss, want, _ = critic_loss(as_float64(critic), real.astype(np.float64),
+                                         fake.astype(np.float64), 10.0, FixedUniform(t))
+        assert grads.dtype == np.float32
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(grads - want)) <= 1e-5 * scale
+        assert abs(loss - want_loss) <= 1e-5 * max(1.0, abs(want_loss))
+
+    def test_training_keeps_float32_nets(self):
+        fdict = toy_fdict()
+        reqs = UniformSampler(fdict, stream(71, "u")).sample_batch(300)
+        cfg = WganConfig(batch_size=32, lr=1e-3, z_dim=4, gen_hidden=(8,),
+                         critic_hidden=(8,), max_iters=3)
+        gen, critic, diag = train_market_state_model(reqs, reqs, fdict, cfg,
+                                                     stream(71, "train"))
+        assert gen.net.params.dtype == critic.params.dtype == np.float32
+        assert all(lay.w.dtype == np.float32 for lay in gen.net.layers + critic.layers)
+        assert np.all(np.isfinite(diag.gaps)) and diag.iterations == 3
 
 
 class TestTraining:
