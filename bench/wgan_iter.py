@@ -16,7 +16,10 @@ criterion 4's (the 3 + 4 category toy market; batch 256, hidden
 - `mlp_forward` (recording a trace) and `mlp_backward` of the critic on
   one batch;
 - `gradient_penalty` on one batch of interpolates;
-- `generator_forward` on one batch.
+- `generator_forward` on one batch;
+- `generator_pass`: `generator_forward` on (k + 1)·batch rows, the one
+  recorded generator pass an iteration makes over its k critic batches
+  and its generator batch (k = 5 critic steps).
 
 Every layer time is the median over REPEATS repeats of the mean of CALLS
 calls. Before each repeat the script reads perfbench's `host_reference()`,
@@ -38,7 +41,12 @@ The layer inputs are made in the nets' dtype. `parent-float64` and
 `float32`, whose market-state nets are float64 (its hashes equal
 `host-scaled`'s), and `float32` from the tree whose generator and critic
 are float32 and draw their Gumbel noise as -log(Exp(1)), so its hashes
-differ from every earlier label's.
+differ from every earlier label's. `parent` and `one-pass` were recorded
+together: `parent` (--src) from the tree before `one-pass` (its hashes
+equal `float32`'s), and `one-pass` from the tree that generates once
+per iteration and draws every batch's rows and noise before its critic
+steps. That draw order changes the trained nets, so `one-pass`'s
+hashes differ from every earlier label's.
 """
 
 import os
@@ -130,6 +138,9 @@ def time_shape(name, field_dims, batch, hidden, z_dim, host_ref) -> dict:
     x_hat = t * real + (1.0 - t) * fake
     _, trace = mlp_forward(critic, real, record=True)
     ones = np.ones((batch, 1), dtype)
+    rows = (cfg.critic_steps + 1) * batch
+    z_pass = g.standard_normal((rows, z_dim))
+    noise_pass = gumbel(g, (rows, fdict.width)).astype(dtype)
 
     def train_once():
         out = train_market_state_model(train, val, fdict, cfg, stream(1, "bench", "train"))
@@ -144,6 +155,8 @@ def time_shape(name, field_dims, batch, hidden, z_dim, host_ref) -> dict:
         "mlp_backward": lambda: mlp_backward(trace, ones),
         "gradient_penalty": lambda: gradient_penalty(critic, x_hat),
         "generator_forward": lambda: generator_forward(gen, z, cfg.tau, noise),
+        "generator_pass": lambda: generator_forward(gen, z_pass, cfg.tau, noise_pass,
+                                                    record=True),
     }
     times = {"wgan_iter": []}
     times.update({k: [] for k in layers})

@@ -136,6 +136,17 @@ class MlpTrace:
     ds: list                  # activation derivatives per layer, at zs
     squeeze: bool             # input was 1-D
 
+    def tail(self, lo: int) -> "MlpTrace":
+        """The trace of rows lo: alone, as views into this one."""
+        return MlpTrace(self.net, self.inputs[lo:], [z[lo:] for z in self.zs],
+                        [a[lo:] for a in self.acts], [d[lo:] for d in self.ds], False)
+
+
+def _times_wt(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d @ w.T. For a one-output layer that is an outer product, formed by
+    broadcasting: bitwise the same, without a K = 1 matmul's overhead."""
+    return d * w.T if w.shape[1] == 1 else d @ w.T
+
 
 def _as_batch(x, dtype) -> tuple:
     x = np.asarray(x, dtype=dtype)
@@ -198,7 +209,7 @@ def mlp_backward(trace: MlpTrace, seed, param_rows: slice = slice(None)) -> tupl
         d_p = d[param_rows]
         grads[2 * k] = a_prev[param_rows].T @ d_p
         grads[2 * k + 1] = d_p.sum(axis=0)
-        e = d @ net.layers[k].w.T
+        e = _times_wt(d, net.layers[k].w)
         if k > 0:
             d = e * trace.ds[k - 1]
     dinput = e[0] if trace.squeeze else e
@@ -233,14 +244,12 @@ def gradient_penalty(net: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tuple:
         out, trace = mlp_forward(net, x, record=True)
         _, g = mlp_backward(trace, np.ones_like(out))
     n_rows = x.shape[0]
-    lo = trace.inputs.shape[0] - n_rows
-    layers = net.layers
-    ins = [trace.inputs[lo:]] + [a[lo:] for a in trace.acts[:-1]]
-    acts = [a[lo:] for a in trace.acts]
-    ds = [d[lo:] for d in trace.ds]
+    rows = trace.tail(trace.inputs.shape[0] - n_rows)
+    layers, acts, ds = net.layers, rows.acts, rows.ds
+    ins = [rows.inputs] + acts[:-1]
 
     norms = np.sqrt(np.sum(g * g, axis=1))
-    penalty = float(np.mean((norms - 1.0) ** 2))
+    penalty = float(((norms - 1.0) ** 2).sum() / n_rows)
     safe = np.maximum(norms, 1e-12)
     v = (2.0 * (norms - 1.0) / safe / n_rows)[:, None] * g
 
@@ -272,9 +281,9 @@ def gradient_penalty(net: Mlp, x_hat, trace: MlpTrace = None, g=None) -> tuple:
             grads[2 * k + 1] = ddot.sum(axis=0)
         if k == 0:
             break
-        e = d @ lay.w.T
+        e = _times_wt(d, lay.w)
         d = e * ds[k - 1]
-        ddot = None if ddot is None else (ddot @ lay.w.T) * ds[k - 1]
+        ddot = None if ddot is None else _times_wt(ddot, lay.w) * ds[k - 1]
         second = second_term(k - 1, e)
         if second is not None:
             ddot = second if ddot is None else ddot + second

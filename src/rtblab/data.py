@@ -788,6 +788,11 @@ class PackedRequests:
             ptr = self.ptr[: m + 1] if m < self.ptr.size else np.arange(m + 1) * self.k
             return self._wrap(picked.ravel(), ptr, self.width, self.k)
         ids = np.asarray(ids)
+        if ids.size == 1:
+            # one row of a ragged batch is a slice of idx (SimEnv.step's gather)
+            lo, hi = self.ptr[ids[0]], self.ptr[ids[0] + 1]
+            return self._wrap(self.idx[lo:hi], np.array([0, hi - lo]), self.width,
+                              int(hi - lo))
         starts = self.ptr[ids]
         counts = self.ptr[ids + 1] - starts
         ptr = np.concatenate([[0], np.cumsum(counts)])

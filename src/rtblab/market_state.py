@@ -9,6 +9,12 @@ so emitted requests are exact one-hots. Every sampler (generator,
 empirical, uniform) draws n requests with one call, sample_batch(n),
 which returns them as one n-row PackedRequests.
 
+Training runs the generator once per iteration: the critic steps do not
+move it, so one recorded pass over the k critic batches and the
+generator's batch serves them all, after the iteration has drawn every
+batch's rows and noise up front (train_market_state_model gives the
+order).
+
 The generator and critic are float32 (NET_DTYPE): their real batches,
 interpolation weights and Gumbel noise are made in that dtype, and the
 autodiff runs in it. A net built elsewhere keeps its own dtype.
@@ -56,8 +62,17 @@ class WganConfig:
     def __post_init__(self):
         for name in ("gp_lambda", "critic_steps", "batch_size", "tau", "lr",
                      "max_iters", "z_dim"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"WganConfig.{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"WganConfig.{name} must be positive and finite, "
+                                  f"got {value}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"WganConfig.l2 must be finite and >= 0, got {self.l2}")
+        for name in ("gen_hidden", "critic_hidden"):
+            widths = getattr(self, name)
+            if not all(isinstance(h, (int, np.integer)) and h > 0 for h in widths):
+                raise ConfigError(f"WganConfig.{name} widths must be positive ints, "
+                                  f"got {widths}")
 
 
 @dataclass
@@ -192,8 +207,8 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
         x_hat = t * real[:m] + (1.0 - t) * fake[:m]
         batches.append(x_hat)
     scores, trace = mlp_forward(critic, np.concatenate(batches), record=True)
-    mean_real = float(scores[:n_r].mean())
-    mean_fake = float(scores[n_r:n].mean())
+    mean_real = float(scores[:n_r].sum() / n_r)
+    mean_fake = float(scores[n_r:n].sum() / n_f)
 
     seed = np.ones_like(scores)
     seed[:n_r] = -1.0 / n_r
@@ -211,15 +226,18 @@ def critic_loss(critic: Mlp, real: np.ndarray, fake: np.ndarray,
 
 
 def generator_loss(gen: Generator, critic: Mlp, z: np.ndarray, tau: float,
-                   noise: np.ndarray):
+                   noise: np.ndarray, samples=None):
     """Generator objective -mean c(soft samples), with grads (one vector in
-    the layout of gen.net.params) through the Gumbel-softmax relaxation."""
-    x, trace = generator_forward(gen, z, tau, noise, record=True)
+    the layout of gen.net.params) through the Gumbel-softmax relaxation.
+
+    `samples` is the (x, trace) of a recorded generator_forward on z and
+    noise that the caller already ran; without it the pass runs here."""
+    x, trace = samples or generator_forward(gen, z, tau, noise, record=True)
     scores, c_trace = mlp_forward(critic, x, record=True)
     n = x.shape[0]
     _, dx = mlp_backward(c_trace, np.full((n, 1), -1.0 / n))
     grads, _ = mlp_backward(trace, gumbel_softmax_vjp(x, dx, tau, gen.starts))
-    return float(-scores.mean()), grads
+    return float(-(scores.sum() / n)), grads
 
 
 @dataclass
@@ -237,6 +255,16 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
     update per iteration; stops when the validation critic gap
     stabilizes or at max_iters.
 
+    The critic steps leave the generator as it is, so an iteration runs
+    the generator once. It first draws, from rng and in this order, the
+    row ids of each critic batch (one choice per batch, so a batch has no
+    repeated row unless the split is smaller than a batch), then one z
+    block and one Gumbel block for those k batches and the generator's
+    batch after them. One recorded generator pass over the k + 1 batches
+    gives each critic step its fakes; the generator step reuses the last
+    batch's samples and the tail of the trace. Each critic step then
+    draws its interpolation weights.
+
     Returns (generator, critic, diagnostics).
     """
     n_train = len(train_pk)
@@ -250,36 +278,37 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
     dtype = critic.params.dtype
 
     # fixed validation design keeps the stopping statistic low-variance
-    v_rows = np.arange(min(len(val_pk), cfg.batch_size))
-    val_real = val_pk.rows(v_rows).dense(dtype)
-    val_z = rng.standard_normal((v_rows.size, cfg.z_dim))
-    val_noise = gumbel(rng, (v_rows.size, fdict.width), gen.dtype)
+    n_val = min(len(val_pk), cfg.batch_size)
+    val_real = val_pk.rows(np.arange(n_val)).dense(dtype)
+    val_z = rng.standard_normal((n_val, cfg.z_dim))
+    val_noise = gumbel(rng, (n_val, fdict.width), gen.dtype)
 
     diag = TrainDiagnostics()
     w = cfg.stop_window
+    k, b = cfg.critic_steps, min(cfg.batch_size, n_train)
     for it in range(cfg.max_iters):
-        for _ in range(cfg.critic_steps):
-            rows = rng.choice(n_train, size=min(cfg.batch_size, n_train),
-                              replace=n_train < cfg.batch_size)
-            real = train_pk.rows(rows).dense(dtype)
-            z = rng.standard_normal((rows.size, cfg.z_dim))
-            noise = gumbel(rng, (rows.size, fdict.width), gen.dtype)
-            fake = generator_forward(gen, z, cfg.tau, noise)
-            c_loss, c_grads, _ = critic_loss(critic, real, fake, cfg.gp_lambda, rng)
+        rows = np.concatenate([rng.choice(n_train, size=b, replace=n_train < cfg.batch_size)
+                               for _ in range(k)])
+        reals = train_pk.rows(rows).dense(dtype)
+        z = rng.standard_normal(((k + 1) * b, cfg.z_dim))
+        noise = gumbel(rng, ((k + 1) * b, fdict.width), gen.dtype)
+        fakes, g_trace = generator_forward(gen, z, cfg.tau, noise, record=True)
+        for s in range(0, k * b, b):
+            c_loss, c_grads, _ = critic_loss(critic, reals[s : s + b], fakes[s : s + b],
+                                             cfg.gp_lambda, rng)
             if not np.isfinite(c_loss):
                 raise NumericalError(f"critic loss non-finite at iteration {it}")
             adam_step(critic.params, c_grads, c_state, lr=cfg.lr, weight_decay=cfg.l2)
 
-        z = rng.standard_normal((min(cfg.batch_size, n_train), cfg.z_dim))
-        noise = gumbel(rng, (z.shape[0], fdict.width), gen.dtype)
-        g_loss, g_grads = generator_loss(gen, critic, z, cfg.tau, noise)
+        g_loss, g_grads = generator_loss(gen, critic, z[k * b :], cfg.tau, noise[k * b :],
+                                         samples=(fakes[k * b :], g_trace.tail(k * b)))
         if not np.isfinite(g_loss):
             raise NumericalError(f"generator loss non-finite at iteration {it}")
         adam_step(gen.net.params, g_grads, g_state, lr=cfg.lr, weight_decay=cfg.l2)
 
         val_fake = generator_forward(gen, val_z, cfg.tau, val_noise)
         val_scores = mlp_forward(critic, np.concatenate([val_real, val_fake]))
-        gap = float(val_scores[: v_rows.size].mean() - val_scores[v_rows.size :].mean())
+        gap = float(val_scores[:n_val].sum() / n_val - val_scores[n_val:].sum() / n_val)
         diag.gaps.append(gap)
         diag.critic_losses.append(c_loss)
         diag.gen_losses.append(g_loss)

@@ -152,6 +152,41 @@ class TestGradientPenalty:
             gradient_penalty(net, rng.normal(size=(2, 3)))
 
 
+class TestReductionsAndOuterProducts:
+    """The critic step's shortcuts give the bits of the plain numpy forms."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (7, 1), (64, 1), (385,), (1024, 1),
+                                       (6144, 1), (300, 13)])
+    def test_sum_over_count_is_bitwise_mean(self, dtype, shape):
+        rng = stream(140, "mean", *shape)
+        for scale in (1e-3, 1.0, 1e4):
+            x = (scale * rng.standard_normal(shape) + scale).astype(dtype)
+            got, want = x.sum() / x.size, x.mean()
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,fan_in", [(1, 1), (5, 3), (64, 32), (1024, 128), (768, 9)])
+    def test_broadcast_outer_product_is_bitwise_the_matmul(self, dtype, n, fan_in):
+        rng = stream(141, "outer", n, fan_in)
+        d = rng.standard_normal((n, 1)).astype(dtype)
+        w = rng.standard_normal((fan_in, 1)).astype(dtype)
+        got = d * w.T
+        assert got.dtype == dtype
+        assert np.array_equal(got, d @ w.T)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_output_input_gradient_is_the_matmul(self, dtype):
+        rng = stream(142, "one-output")
+        net = Mlp([DenseLayer(rng.standard_normal((6, 1)).astype(dtype),
+                              np.zeros(1, dtype), "identity")])
+        _, trace = mlp_forward(net, rng.standard_normal((9, 6)), record=True)
+        seed = rng.standard_normal((9, 1)).astype(dtype)
+        _, dinput = mlp_backward(trace, seed)
+        assert np.array_equal(dinput, seed @ net.layers[0].w.T)
+
+
 class TestGumbelSoftmax:
     def test_zero_noise_unit_temperature_is_softmax(self):
         logits = np.array([0.3, -0.2, 1.1, 0.0])

@@ -489,6 +489,20 @@ class TestPackedRequests:
         only_empty = packed.rows(np.array([1, 1]))
         assert only_empty.dot(np.array([3.0, 1.0])).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("as_ids", [lambda i: [i], lambda i: np.array([i]),
+                                        lambda i: np.array([i], dtype=np.int32)])
+    def test_one_row_of_a_ragged_batch_is_the_general_gather(self, as_ids):
+        rows = [[0, 2], [1], [], [0, 1, 3], [3], []]
+        packed = requests_of(rows, 4)
+        w = np.array([0.5, -1.25, 3.0, 7.0])
+        for i in (0, 2, 3, len(rows) - 1):         # first, empty, longest, last (empty)
+            one = packed.rows(as_ids(i))
+            general = packed.rows([i, 0])          # two ids take the general path
+            assert one == PackedRequests.from_rows([rows[i]], 4)
+            assert one.k == len(rows[i])
+            assert np.array_equal(one.dense(), general.dense()[:1])
+            assert np.array_equal(one.dot(w), general.dot(w)[:1])
+
     @settings(max_examples=200, deadline=None)
     @given(ragged_batches())
     def test_dot_and_scatter_match_dense(self, batch):

@@ -644,6 +644,21 @@ class TestCliPipeline:
                          "--set", override]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("override,field", [
+        ("wgan_gen_hidden=0", "gen_hidden"),
+        ("wgan_critic_hidden=-3", "critic_hidden"),
+        ("wgan_lr=nan", "lr"),
+        ("wgan_tau=nan", "tau"),
+        ("wgan_lambda=inf", "gp_lambda"),
+    ])
+    def test_train_market_rejects_bad_wgan_values(self, workdir, tmp_path, capsys,
+                                                  override, field):
+        out = tmp_path / "market.ckpt"
+        assert cli_main(["train-market", str(workdir / "data"), "--split", "train",
+                         "--out", str(out)] + self.quick_sets() + ["--set", override]) == 2
+        assert f"WganConfig.{field} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_typo_in_set_key_exits_2_and_names_it(self, workdir, tmp_path, capsys):
         out = tmp_path / "rlb.ckpt"
         assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtblab import market_state
 from rtblab.autodiff import (
     DenseLayer,
     Mlp,
@@ -414,6 +415,84 @@ class TestTraining:
             runs.append((gen, critic))
         assert np.array_equal(runs[0][0].net.params, runs[1][0].net.params)
         assert np.array_equal(runs[0][1].params, runs[1][1].params)
+
+
+@pytest.mark.parametrize("bad", [{"l2": -1e-4}, {"l2": float("nan")}, {"l2": float("inf")},
+                                 {"gen_hidden": (16, 0)}, {"critic_hidden": (8.5,)}])
+def test_wgan_config_refuses_bad_values(bad):
+    with pytest.raises(ConfigError, match=f"WganConfig.{next(iter(bad))} "):
+        WganConfig(**bad)
+
+
+class TestOnePassIteration:
+    """An iteration runs the generator once, over the k critic batches and
+    the generator's batch; the loop's pieces are the per-batch calls."""
+
+    @pytest.mark.parametrize("dims,batch,hidden,z_dim", [
+        ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 64, (32,), 8),  # learn-market
+        ((3, 4), 256, (64, 64, 32), 16),                                 # criterion 4
+        ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 1024, (256, 256, 128), 64),  # paper
+    ])
+    def test_fakes_and_generator_step_are_the_per_batch_calls(self, monkeypatch, dims,
+                                                              batch, hidden, z_dim):
+        fdict = synth_feature_dict(dims)
+        reqs = UniformSampler(fdict, stream(72, "u")).sample_batch(batch + 100)
+        cfg = WganConfig(batch_size=batch, lr=1e-3, z_dim=z_dim, gen_hidden=hidden,
+                         critic_hidden=hidden, max_iters=2)
+        k = cfg.critic_steps
+        passes, fakes = [], []
+        forward, loss = market_state.generator_forward, market_state.generator_loss
+
+        def spy_forward(gen, z, tau, noise, record=False):
+            out = forward(gen, z, tau, noise, record)
+            if record:
+                x = out[0]
+                assert x.shape[0] == (k + 1) * batch
+                for s in range(0, x.shape[0], batch):
+                    alone = forward(gen, z[s : s + batch], tau, noise[s : s + batch])
+                    assert np.array_equal(x[s : s + batch], alone)
+                passes.append(x)
+            return out
+
+        def spy_critic(critic, real, fake, gp_lambda, rng):
+            fakes.append(fake)
+            return critic_loss(critic, real, fake, gp_lambda, rng)
+
+        def spy_generator(gen, critic, z, tau, noise, samples=None):
+            assert samples is not None
+            got = loss(gen, critic, z, tau, noise, samples=samples)
+            # a pass of its own on the same rows (the spied forward is the loop's)
+            fresh = loss(gen, critic, z, tau, noise,
+                         samples=forward(gen, z, tau, noise, record=True))
+            assert got[0] == fresh[0] and np.array_equal(got[1], fresh[1])
+            assert np.array_equal(samples[0], passes[-1][k * batch :])
+            return got
+
+        monkeypatch.setattr(market_state, "generator_forward", spy_forward)
+        monkeypatch.setattr(market_state, "critic_loss", spy_critic)
+        monkeypatch.setattr(market_state, "generator_loss", spy_generator)
+        train_market_state_model(reqs, reqs, fdict, cfg, stream(72, "train"))
+        assert len(passes) == 2 and len(fakes) == 2 * k
+        for i, fake in enumerate(fakes):
+            s = (i % k) * batch
+            assert np.array_equal(fake, passes[i // k][s : s + batch])
+
+    def test_two_runs_give_identical_nets_and_diagnostics(self):
+        fdict = synth_feature_dict((3, 4))
+        reqs = UniformSampler(fdict, stream(73, "u")).sample_batch(400)
+        cfg = WganConfig(batch_size=32, lr=1e-3, z_dim=4, gen_hidden=(8,),
+                         critic_hidden=(8,), max_iters=60, stop_window=5,
+                         stop_min_iters=40)
+        runs = [train_market_state_model(reqs, reqs, fdict, cfg, stream(73, "train"))
+                for _ in range(2)]
+        (gen_a, critic_a, diag_a), (gen_b, critic_b, diag_b) = runs
+        assert gen_a.net.params.tobytes() == gen_b.net.params.tobytes()
+        assert critic_a.params.tobytes() == critic_b.params.tobytes()
+        assert diag_a.iterations == diag_b.iterations > 0
+        assert diag_a.stopped_early == diag_b.stopped_early
+        for name in ("gaps", "critic_losses", "gen_losses"):
+            assert np.array(getattr(diag_a, name)).tobytes() == \
+                np.array(getattr(diag_b, name)).tobytes()
 
 
 class TestSamplers:
