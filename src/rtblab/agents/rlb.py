@@ -41,10 +41,6 @@ def rlb_dp_solve(m: PriceHistogram, horizon: int, max_budget: int,
     if probs.size == 0 or abs(probs.sum() - 1.0) > 1e-9:
         raise ConfigError("price histogram must be normalized")
     T, B = int(horizon), int(max_budget)
-    if T < 1:
-        raise ConfigError(f"rlb horizon must be at least 1, got {T}")
-    if B < 0:
-        raise ConfigError(f"rlb budget grid must be non-negative, got {B}")
     k = len(grid)
     # highest price each action can win (-1: none); non-decreasing like the grid
     d_top = np.clip(np.ceil(grid.values).astype(np.int64) - 1, -1,

@@ -304,8 +304,6 @@ def gumbel_softmax(logits, tau: float, noise, starts=(0,)) -> np.ndarray:
     the block's argmax(logits+noise). Float32 logits give float32
     samples (the noise is cast to them); anything else runs in float64.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
     logits = np.asarray(logits)
     dtype = np.result_type(np.float32, logits)
     u = (logits.astype(dtype, copy=False) + np.asarray(noise, dtype=dtype)) / tau

@@ -10,15 +10,17 @@ trips are bit-exact and keep the dtype.
 
 Every typed manifest is built by _manifest (type, split, the config as
 strings, then the kind's own fields), and every typed file is opened by
-_load_kind, which refuses a file of another type. The kinds and the
-helpers that own them:
+_load_kind, which refuses a file of another type and runs the kind's
+decoder: a missing or malformed manifest field or array is a DataError
+naming the file. The kinds and the helpers that own them:
 
-- "market_state": save_market_state / load_market_state; the generator
-  and critic layers go through _mlp_arrays / _mlp_from_arrays.
-- "price": save_price_model / load_price_model.
+- "market_state": save_market_state / load_market_state
+  (_market_state_from); the generator and critic layers go through
+  _mlp_arrays / _mlp_from_arrays.
+- "price": save_price_model / load_price_model (_price_model_from).
 - "click": save_click_model / load_click_model; the arrays are written
   by _click_arrays and read by _click_from_arrays.
-- "agent": save_agent / load_agent, one branch per agent_type:
+- "agent": save_agent / load_agent (_agent_from), one branch per agent_type:
   "exddqn" and "fdqi" (GreedyQAgent, its Q-network through
   _mlp_arrays), "linbid" (LinBidAgent; under click utility its click
   model goes through _click_arrays) and "rlb" (RlbAgent).
@@ -153,12 +155,19 @@ def _manifest(kind: str, split: str, config: dict, **fields) -> dict:
             "config": {k: str(v) for k, v in config.items()}, **fields}
 
 
-def _load_kind(path, kind: str):
-    """load_checkpoint, refusing a file whose manifest has another type."""
-    manifest, arrays = load_checkpoint(path)
-    if manifest.get("type") != kind:
-        raise DataError(f"{path} is not {KIND_NAMES[kind]} checkpoint")
-    return manifest, arrays
+def _load_kind(path, kind: str, decode):
+    """decode(manifest, arrays) of a checkpoint of this kind. A file of
+    another type, or a manifest field or array that is missing or
+    malformed (the payload hash does not cover the manifest), is a
+    DataError naming the file."""
+    try:
+        manifest, arrays = load_checkpoint(path)
+        if manifest.get("type") != kind:
+            raise DataError(f"{path} is not {KIND_NAMES[kind]} checkpoint")
+        return decode(manifest, arrays)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {kind} checkpoint "
+                        f"({type(exc).__name__}: {exc})") from exc
 
 
 def save_market_state(path, gen: Generator, critic: Mlp, split: str,
@@ -178,7 +187,10 @@ def save_market_state(path, gen: Generator, critic: Mlp, split: str,
 
 
 def load_market_state(path):
-    manifest, arrays = _load_kind(path, "market_state")
+    return _load_kind(path, "market_state", _market_state_from)
+
+
+def _market_state_from(manifest: dict, arrays: dict):
     gen = Generator(
         _mlp_from_arrays("gen", arrays, manifest["gen_acts"]),
         tuple(tuple(s) for s in manifest["slices"]),
@@ -198,7 +210,10 @@ def save_price_model(path, model: PriceModel, split: str, data_hash: str,
 
 
 def load_price_model(path):
-    manifest, arrays = _load_kind(path, "price")
+    return _load_kind(path, "price", _price_model_from)
+
+
+def _price_model_from(manifest: dict, arrays: dict):
     mu = arrays["price.mu"]
     ls = arrays["price.logsigma"]
     return PriceModel(mu[:-1], float(mu[-1]), ls[:-1], float(ls[-1])), manifest
@@ -219,8 +234,8 @@ def save_click_model(path, model: ClickModel, split: str, data_hash: str,
 
 
 def load_click_model(path):
-    manifest, arrays = _load_kind(path, "click")
-    return _click_from_arrays(arrays), manifest
+    return _load_kind(path, "click", lambda manifest, arrays: (
+        _click_from_arrays(arrays), manifest))
 
 
 def save_agent(path, agent_type: str, agent, config: dict, **fields) -> None:
@@ -254,7 +269,10 @@ def save_agent(path, agent_type: str, agent, config: dict, **fields) -> None:
 
 def load_agent(path):
     """Load any agent checkpoint into a ready-to-bid agent object."""
-    manifest, arrays = _load_kind(path, "agent")
+    return _load_kind(path, "agent", _agent_from)
+
+
+def _agent_from(manifest: dict, arrays: dict):
     kind = manifest.get("agent_type")
     if kind in Q_AGENTS:
         qnet = QNetwork(arrays["q.f1.w"], arrays["q.f1.b"], *(
@@ -271,4 +289,4 @@ def load_agent(path):
         tables = DpTables(arrays["value"], arrays["policy"],
                           int(manifest["horizon"]), int(manifest["max_budget"]))
         return RlbAgent(tables, ActionGrid(arrays["grid"])), manifest
-    raise DataError(f"unknown agent_type {kind!r} in {path}")
+    raise ValueError(f"unknown agent_type {kind!r}")

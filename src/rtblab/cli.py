@@ -28,14 +28,7 @@ from .agents import (
     train_ddqn,
 )
 from .agents.linbid import default_base_grid
-from .config import (
-    cfg_float,
-    cfg_floats,
-    cfg_int,
-    cfg_ints,
-    config_lines,
-    effective_config,
-)
+from .config import KEYS, Config, config_lines, effective_config
 from .data import (
     DatasetStats,
     FeatureDict,
@@ -65,7 +58,7 @@ from .synth import generate_synthetic_market, load_synth_spec, write_synthetic_l
 SPLITS = ("train", "val", "test")
 
 
-def _cfg(args) -> dict:
+def _cfg(args) -> Config:
     return effective_config(args.profile, getattr(args, "config", None),
                             getattr(args, "set", None))
 
@@ -102,7 +95,7 @@ def cmd_ingest(args):
     log, skipped = parse_log(args.log, schema)
     if not len(log):
         raise DataError(f"no parseable records in {args.log}")
-    fdict = build_feature_dictionary(log, cfg_int(cfg, "min_count"))
+    fdict = build_feature_dictionary(log, cfg["min_count"])
     all_samples = SampleSet.from_records(log, fdict)
     parts = split_day_indices(all_samples.timestamps, (0.60, 0.15, 0.25))
     os.makedirs(args.out, exist_ok=True)
@@ -131,15 +124,15 @@ def cmd_stats(args):
 
 def _wgan_config(cfg) -> WganConfig:
     return WganConfig(
-        gp_lambda=cfg_float(cfg, "wgan_lambda"),
-        critic_steps=cfg_int(cfg, "wgan_critic_steps"),
-        batch_size=cfg_int(cfg, "wgan_batch"),
-        tau=cfg_float(cfg, "wgan_tau"),
-        lr=cfg_float(cfg, "wgan_lr"),
-        max_iters=cfg_int(cfg, "wgan_iters"),
-        z_dim=cfg_int(cfg, "wgan_z_dim"),
-        gen_hidden=cfg_ints(cfg, "wgan_gen_hidden"),
-        critic_hidden=cfg_ints(cfg, "wgan_critic_hidden"),
+        gp_lambda=cfg["wgan_lambda"],
+        critic_steps=cfg["wgan_critic_steps"],
+        batch_size=cfg["wgan_batch"],
+        tau=cfg["wgan_tau"],
+        lr=cfg["wgan_lr"],
+        max_iters=cfg["wgan_iters"],
+        z_dim=cfg["wgan_z_dim"],
+        gen_hidden=cfg["wgan_gen_hidden"],
+        critic_hidden=cfg["wgan_critic_hidden"],
     )
 
 
@@ -149,12 +142,12 @@ def cmd_train_market(args):
     samples = _load_split(args.data, args.split)
     val = _load_split(args.data, "val")
     wcfg = _wgan_config(cfg)
-    rng = stream(cfg_int(cfg, "seed"), "wgan", args.split)
+    rng = stream(cfg["seed"], "wgan", args.split)
     gen, critic, diag = train_market_state_model(
         samples.requests, val.requests, fdict, wcfg, rng
     )
     ckpt.save_market_state(args.out, gen, critic, args.split,
-                           ckpt.hash_requests(samples.requests), cfg,
+                           ckpt.hash_requests(samples.requests), cfg.text,
                            diag.iterations)
     tail = diag.gaps[-1] if diag.gaps else float("nan")
     print(f"market-state model: {diag.iterations} iterations "
@@ -164,10 +157,10 @@ def cmd_train_market(args):
 
 def _fit_config(cfg) -> FitConfig:
     return FitConfig(
-        lr_grid=cfg_floats(cfg, "fit_lr_grid"),
-        l2_grid=cfg_floats(cfg, "fit_l2_grid"),
-        batch_size=cfg_int(cfg, "fit_batch"),
-        max_epochs=cfg_int(cfg, "fit_epochs"),
+        lr_grid=cfg["fit_lr_grid"],
+        l2_grid=cfg["fit_l2_grid"],
+        batch_size=cfg["fit_batch"],
+        max_epochs=cfg["fit_epochs"],
     )
 
 
@@ -177,7 +170,7 @@ def cmd_train_price(args):
     val = _load_split(args.data, "val")
     model, info = train_price_model(samples, val, _fit_config(cfg))
     ckpt.save_price_model(args.out, model, args.split,
-                          ckpt.hash_requests(samples.requests), cfg)
+                          ckpt.hash_requests(samples.requests), cfg.text)
     print(f"price model: val nll {info['val_nll']:.4f} (l2 {info['l2']}, "
           f"{info['passes']} passes, converged: {info['converged']})")
     return 0
@@ -187,17 +180,21 @@ def cmd_train_click(args):
     cfg = _cfg(args)
     samples = _load_split(args.data, args.split)
     val = _load_split(args.data, "val")
-    model, info = train_click_model(samples, val, stream(cfg_int(cfg, "seed"),
-                                    "click", args.split), _fit_config(cfg))
+    model, info = train_click_model(samples, val, stream(cfg["seed"], "click", args.split),
+                                    _fit_config(cfg))
     ckpt.save_click_model(args.out, model, args.split,
-                          ckpt.hash_requests(samples.requests), cfg)
+                          ckpt.hash_requests(samples.requests), cfg.text)
     print(f"click model: {info}")
     return 0
 
 
-def _sampler_tau(manifest) -> float:
-    """The Gumbel-softmax temperature a market-state checkpoint was trained at."""
-    return float(manifest["config"].get("wgan_tau", WganConfig.tau))
+def _sampler_tau(manifest, path) -> float:
+    """The Gumbel-softmax temperature a market-state checkpoint was trained
+    at: the wgan_tau of its config echo, parsed by the config table's domain."""
+    try:
+        return KEYS["wgan_tau"][1](manifest["config"]["wgan_tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: no valid wgan_tau in the config echo ({exc})") from exc
 
 
 def _action_grid(train_stats) -> ActionGrid:
@@ -213,12 +210,12 @@ def _env_parts(args, cfg) -> tuple:
     if getattr(args, "click", None):
         click, c_manifest = ckpt.load_click_model(args.click)
     train_stats = _load_stats(args.data, "train")
-    tau = _sampler_tau(m_manifest)
+    tau = _sampler_tau(m_manifest, args.market)
 
     def sampler_factory(rng):
         return GeneratorSampler(gen, tau, rng)
 
-    meta = EnvMeta(cpm_ref=train_stats.cpm, t0_ref=cfg_int(cfg, "t0"))
+    meta = EnvMeta(cpm_ref=train_stats.cpm, t0_ref=cfg["t0"])
     splits = {"market": m_manifest["split"], "price": p_manifest["split"]}
     if c_manifest:
         splits["click"] = c_manifest["split"]
@@ -230,35 +227,35 @@ def cmd_train_agent(args):
     parts, train_stats = _env_parts(args, cfg)
     grid = _action_grid(train_stats)
     utility = cfg["utility"]
-    seed = cfg_int(cfg, "seed")
+    seed = cfg["seed"]
     if args.agent == "exddqn":
         factory = make_env_factory(parts, utility, seed, "train")
         dcfg = DdqnConfig(
-            total_steps=cfg_int(cfg, "ddqn_total_steps"),
-            workers=cfg_int(cfg, "ddqn_workers"),
-            batch_size=cfg_int(cfg, "ddqn_batch"),
-            lr=cfg_float(cfg, "ddqn_lr"),
-            warmup_steps=cfg_int(cfg, "ddqn_warmup"),
-            target_sync=cfg_int(cfg, "ddqn_target_sync"),
-            eps_scale=cfg_float(cfg, "ddqn_eps_scale"),
-            t0=cfg_int(cfg, "t0"),
+            total_steps=cfg["ddqn_total_steps"],
+            workers=cfg["ddqn_workers"],
+            batch_size=cfg["ddqn_batch"],
+            lr=cfg["ddqn_lr"],
+            warmup_steps=cfg["ddqn_warmup"],
+            target_sync=cfg["ddqn_target_sync"],
+            eps_scale=cfg["ddqn_eps_scale"],
+            t0=cfg["t0"],
             n_actions=len(grid),
         )
         qnet, diag = train_ddqn(factory, grid, dcfg, stream(seed, "ddqn"),
                                 price_model=parts.price_model)
-        ckpt.save_agent(args.out, "exddqn", GreedyQAgent(qnet, grid), cfg)
+        ckpt.save_agent(args.out, "exddqn", GreedyQAgent(qnet, grid), cfg.text)
         mean_r = np.mean(diag.episode_rewards[-20:]) if diag.episode_rewards else 0
         print(f"exddqn: {diag.steps} steps, {diag.updates} updates, "
               f"recent episode reward {mean_r:.1f}")
     elif args.agent == "fdqi":
         samples = _load_split(args.data, "train")
-        trs = fdqi_build_transitions(samples, grid, cfg_int(cfg, "t0"),
+        trs = fdqi_build_transitions(samples, grid, cfg["t0"],
                                      parts.meta.cpm_ref, cfg["utility"])
-        fcfg = FdqiConfig(outer_iters=cfg_int(cfg, "fdqi_outer"),
+        fcfg = FdqiConfig(outer_iters=cfg["fdqi_outer"],
                           n_actions=len(grid))
         qnet, diag = fdqi_train(trs, samples.width, fcfg, stream(seed, "fdqi"),
                                 price_model=parts.price_model)
-        ckpt.save_agent(args.out, "fdqi", GreedyQAgent(qnet, grid), cfg)
+        ckpt.save_agent(args.out, "fdqi", GreedyQAgent(qnet, grid), cfg.text)
         print(f"fdqi: {len(trs['reward'])} transitions, "
               f"{diag.iterations} fitted iterations")
     else:
@@ -270,18 +267,18 @@ def cmd_tune_linbid(args):
     cfg = _cfg(args)
     parts, train_stats = _env_parts(args, cfg)
     utility = cfg["utility"]
-    seed = cfg_int(cfg, "seed")
+    seed = cfg["seed"]
     factory = make_env_factory(parts, utility, seed, "train")
     grid = default_base_grid(train_stats.histogram)
-    t0 = cfg_int(cfg, "t0")
+    t0 = cfg["t0"]
     b0_eval = episode_budget(1.0, train_stats.cpm, t0)
     click_model, avg = parts.click_model, None
     # without --click the environment refuses click utility (a config error)
     if utility == "click" and click_model is not None:
         avg = average_ctr(click_model, _load_split(args.data, "train").requests)
-    best, means = linbid_tune(factory, grid, cfg_int(cfg, "linbid_episodes"),
+    best, means = linbid_tune(factory, grid, cfg["linbid_episodes"],
                               b0_eval, t0, utility, click_model, avg)
-    ckpt.save_agent(args.out, "linbid", LinBidAgent(best, utility, click_model, avg), cfg)
+    ckpt.save_agent(args.out, "linbid", LinBidAgent(best, utility, click_model, avg), cfg.text)
     print(f"linbid base bid {best:.2f} (grid of {len(grid)})")
     return 0
 
@@ -292,12 +289,12 @@ def cmd_solve_rlb(args):
     m = train_stats.histogram
     if m.empty:
         raise DataError("cannot solve the bidder against an empty price histogram")
-    horizon = cfg_int(cfg, "rlb_horizon")
-    alpha_max = max(cfg_floats(cfg, "alphas"))
+    horizon = cfg["rlb_horizon"]
+    alpha_max = max(cfg["alphas"])
     max_budget = int(np.ceil(episode_budget(alpha_max, train_stats.cpm, horizon))) * 2
     grid = _action_grid(train_stats)
     tables = rlb_dp_solve(m, horizon, max_budget, grid)
-    ckpt.save_agent(args.out, "rlb", RlbAgent(tables, grid), cfg,
+    ckpt.save_agent(args.out, "rlb", RlbAgent(tables, grid), cfg.text,
                     histogram_hash=ckpt.hash_histogram(m))
     print(f"rlb tables solved: horizon {horizon}, budget grid {max_budget}")
     return 0
@@ -307,7 +304,7 @@ def cmd_evaluate(args):
     cfg = _cfg(args)
     parts, _ = _env_parts(args, cfg)
     utility = cfg["utility"]
-    seed = cfg_int(cfg, "seed")
+    seed = cfg["seed"]
     factory = make_env_factory(parts, utility, seed, "test")
     test_stats = _load_stats(args.data, "test")
     agents = {}
@@ -318,9 +315,9 @@ def cmd_evaluate(args):
             name += "+"
         agents[name] = agent
     table = budget_sweep(
-        agents, factory, test_stats.cpm, cfg_int(cfg, "t0"),
-        alphas=cfg_floats(cfg, "alphas"), repeats=cfg_int(cfg, "repeats"),
-        config_echo=config_lines(cfg),
+        agents, factory, test_stats.cpm, cfg["t0"],
+        alphas=cfg["alphas"], repeats=cfg["repeats"],
+        config_echo=config_lines(cfg.text),
     )
     write_report(table, args.out, args.format)
     print(f"wrote {len(table.rows)} result rows to {args.out}")
@@ -332,16 +329,15 @@ def cmd_mmd(args):
     fdict = FeatureDict.load(os.path.join(args.data, "dict.txt"))
     test = _load_split(args.data, "test")
     gen, _, m_manifest = ckpt.load_market_state(args.model)
-    seed = cfg_int(cfg, "seed")
+    seed = cfg["seed"]
     samplers = {
         "test": EmpiricalSampler(test.requests, stream(seed, "mmd", "test")),
-        "model": GeneratorSampler(gen, _sampler_tau(m_manifest),
+        "model": GeneratorSampler(gen, _sampler_tau(m_manifest, args.model),
                                   stream(seed, "mmd", "model")),
         "uniform": UniformSampler(fdict, stream(seed, "mmd", "uniform")),
     }
-    rows = mmd_benchmark(test.requests, samplers, n=cfg_int(cfg, "mmd_n"),
-                         repeats=cfg_int(cfg, "mmd_repeats"),
-                         sigma=cfg_float(cfg, "mmd_sigma"),
+    rows = mmd_benchmark(test.requests, samplers, n=cfg["mmd_n"],
+                         repeats=cfg["mmd_repeats"], sigma=cfg["mmd_sigma"],
                          rng=stream(seed, "mmd", "ref"))
     lines = [f"{name}\t{mean:.3f}\t{std:.3f}" for name, (mean, std) in rows.items()]
     print("sampler\tsqrt_n_mmd\tstd")

@@ -438,8 +438,6 @@ def build_feature_dictionary(log: ParsedLog, min_count: int) -> FeatureDict:
     the log, a row's tags taken in sorted order. Rarer categories fall
     into the per-field OTHER bucket.
     """
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     if len(log) == 0:
         raise DataError("cannot build a feature dictionary from an empty corpus")
     maps = {}

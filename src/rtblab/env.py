@@ -34,8 +34,6 @@ from .data import PackedRequests
 from .errors import ConfigError
 from .market_action import PriceModel
 
-UTILITIES = ("impression", "click")
-
 # steps per tape block; bounds the block's request and Gumbel-noise
 # arrays when episodes are long (T0 = 100 000 at paper scale)
 TAPE_BLOCK = 1024
@@ -92,8 +90,6 @@ class SimEnv:
 
     def __init__(self, sampler, price_model: PriceModel, click_model,
                  utility: str, meta: EnvMeta, rng):
-        if utility not in UTILITIES:
-            raise ConfigError(f"utility must be one of {UTILITIES}, got {utility!r}")
         if utility == "click" and click_model is None:
             raise ConfigError("click utility needs a click model")
         self.sampler = sampler
@@ -126,8 +122,6 @@ class SimEnv:
         return self.state is None or self.state.time_left == 0
 
     def reset(self, b0: float, t0: int) -> Observation:
-        if b0 < 0 or t0 < 1:
-            raise ConfigError(f"need b0 >= 0 and t0 >= 1, got ({b0}, {t0})")
         self.state = AdvertiserState(float(b0), int(t0))
         self._b0 = float(b0)
         self.spend = 0.0

@@ -106,8 +106,6 @@ def format_pm(mean: float, std: float) -> str:
 
 def write_report(table: ResultTable, path, fmt: str = "tsv") -> None:
     """Deterministic column order; values rounded to two decimals."""
-    if not table.rows:
-        raise ValueError("cannot write an empty result table")
     lines = []
     if fmt == "tsv":
         lines.append("agent\talpha\treward_pct\tstd_pct\tspend\tepisodes")

@@ -59,21 +59,6 @@ class WganConfig:
     stop_window: int = 50
     stop_min_iters: int = 500
 
-    def __post_init__(self):
-        for name in ("gp_lambda", "critic_steps", "batch_size", "tau", "lr",
-                     "max_iters", "z_dim"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"WganConfig.{name} must be positive and finite, "
-                                  f"got {value}")
-        if not (np.isfinite(self.l2) and self.l2 >= 0):
-            raise ConfigError(f"WganConfig.l2 must be finite and >= 0, got {self.l2}")
-        for name in ("gen_hidden", "critic_hidden"):
-            widths = getattr(self, name)
-            if not all(isinstance(h, (int, np.integer)) and h > 0 for h in widths):
-                raise ConfigError(f"WganConfig.{name} widths must be positive ints, "
-                                  f"got {widths}")
-
 
 @dataclass
 class Generator:
@@ -235,7 +220,8 @@ def generator_loss(gen: Generator, critic: Mlp, z: np.ndarray, tau: float,
     x, trace = samples or generator_forward(gen, z, tau, noise, record=True)
     scores, c_trace = mlp_forward(critic, x, record=True)
     n = x.shape[0]
-    _, dx = mlp_backward(c_trace, np.full((n, 1), -1.0 / n))
+    # only the input gradient is needed: no critic parameter gradient
+    _, dx = mlp_backward(c_trace, np.full((n, 1), -1.0 / n), param_rows=slice(0, 0))
     grads, _ = mlp_backward(trace, gumbel_softmax_vjp(x, dx, tau, gen.starts))
     return float(-(scores.sum() / n)), grads
 

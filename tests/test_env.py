@@ -92,13 +92,6 @@ class TestReset:
         b = two_type_env(72).reset(10, 5)
         assert a.request == b.request
 
-    def test_bad_constraints_raise(self):
-        env = two_type_env(73)
-        with pytest.raises(ConfigError):
-            env.reset(-1.0, 10)
-        with pytest.raises(ConfigError):
-            env.reset(10.0, 0)
-
 
 class TestStep:
     def test_zero_bid_never_wins(self):

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rtblab
 from rtblab import checkpoint as ckpt
@@ -21,7 +23,7 @@ from rtblab.agents import (
     rlb_dp_solve,
 )
 from rtblab.cli import main as cli_main
-from rtblab.config import cfg_floats, cfg_int, config_lines, effective_config
+from rtblab.config import KEYS, Choice, Number, config_lines, effective_config
 from rtblab.autodiff import DenseLayer, DimensionError, Mlp
 from rtblab.data import PackedRequests, PriceHistogram, load_schema
 from rtblab.errors import ConfigError, DataError
@@ -92,10 +94,6 @@ class TestMmdEstimate:
         ys = onehots(rng.integers(2, 5, size=20), 5)
         assert mmd_estimate(xs, ys) == pytest.approx(mmd_estimate(ys, xs), abs=1e-12)
         assert mmd_estimate(xs, ys) >= 0.0
-
-    def test_tiny_sets_raise(self):
-        with pytest.raises(ConfigError):
-            mmd_estimate(onehots([0], 2), onehots([1], 2))
 
 
 class TestMmdBenchmark:
@@ -406,6 +404,32 @@ class TestCheckpointContainer:
             with pytest.raises(DataError, match=f"{other} is not {what} checkpoint"):
                 load(tmp_path / other)
 
+    KIND_LOADERS = {"market.ckpt": ckpt.load_market_state,
+                    "price.ckpt": ckpt.load_price_model, "click.ckpt": ckpt.load_click_model,
+                    **dict.fromkeys(["exddqn.ckpt", "fdqi.ckpt", "linbid.ckpt",
+                                     "linbid_click.ckpt", "rlb.ckpt"], ckpt.load_agent)}
+
+    @pytest.mark.parametrize("name", sorted(KIND_LOADERS))
+    def test_header_byte_edit_loads_or_is_a_data_error(self, tmp_path, name):
+        # the payload hash does not cover the header: a file with one byte
+        # of its header changed loads, or is refused with a DataError
+        arange_checkpoints(tmp_path)
+        raw = (tmp_path / name).read_bytes()
+        header = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        path = tmp_path / "edited.ckpt"
+        load = self.KIND_LOADERS[name]
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(st.integers(0, header - 1), st.integers(0, 255))
+        def load_edited(pos, byte):
+            path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1 :])
+            try:
+                load(path)
+            except DataError:
+                pass
+
+        load_edited()
+
     def test_unknown_agent_type_rejected(self, tmp_path):
         arange_checkpoints(tmp_path)
         manifest, arrays = ckpt.load_checkpoint(tmp_path / "rlb.ckpt")
@@ -455,18 +479,21 @@ class TestConfig:
     def test_profiles_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "c.txt"
         cfg_file.write_text("t0 = 500\n# comment\nrepeats = 3\n")
-        cfg = effective_config("desk", cfg_file, ["seed=9"])
-        assert cfg_int(cfg, "t0") == 500
-        assert cfg_int(cfg, "repeats") == 3
-        assert cfg_int(cfg, "seed") == 9
-        assert cfg["profile"] == "desk"
+        cfg = effective_config("desk", cfg_file, ["seed=9", "alphas=0.5, 2"])
+        assert (cfg["t0"], cfg["repeats"], cfg["seed"]) == (500, 3, 9)
+        assert cfg["alphas"] == (0.5, 2.0)
+        assert cfg["wgan_gen_hidden"] == (64, 64, 32)
+        assert cfg["utility"] == "impression" and cfg["profile"] == "desk"
+        # the echo keeps each value as given
+        assert (cfg.text["t0"], cfg.text["alphas"], cfg.text["ddqn_lr"]) == (
+            "500", "0.5, 2", "1e-3")
 
     def test_paper_profile_scale(self):
         cfg = effective_config("paper")
         desk = effective_config("desk")
-        assert cfg_int(cfg, "t0") == 100_000
-        assert cfg_int(cfg, "ddqn_total_steps") == 5_000_000
-        assert cfg_floats(cfg, "alphas") == (0.25, 0.5, 1.0, 2.0, 4.0)
+        assert cfg["t0"] == 100_000
+        assert cfg["ddqn_total_steps"] == 5_000_000
+        assert cfg["alphas"] == (0.25, 0.5, 1.0, 2.0, 4.0)
         overrides = {
             "t0": "100000", "min_count": "500", "ddqn_total_steps": "5000000",
             "ddqn_workers": "16", "ddqn_eps_scale": "500000",
@@ -474,8 +501,8 @@ class TestConfig:
             "wgan_gen_hidden": "256,256,128", "wgan_critic_hidden": "256,256,128",
             "rlb_horizon": "1000",
         }
-        assert cfg.keys() == desk.keys()
-        assert {k: v for k, v in cfg.items() if desk[k] != v} == {
+        assert cfg.text.keys() == desk.text.keys() == {*KEYS, "profile"}
+        assert {k: v for k, v in cfg.text.items() if desk.text[k] != v} == {
             **overrides, "profile": "paper"}
 
     def test_unknown_profile_raises(self):
@@ -527,6 +554,30 @@ QUICK_SETS = ["--set", "t0=50", "--set", "repeats=3",
               "--set", "wgan_critic_hidden=16", "--set", "wgan_lr=1e-3",
               "--set", "fdqi_outer=2", "--set", "linbid_episodes=2",
               "--set", "alphas=0.5,1,2"]
+
+
+DOMAIN_CASES = ("wrong type", "out of domain", "empty")
+# values that once passed the config and failed later, or ran: the old
+# WganConfig cases, and probes that raised a traceback (exit 1), exited
+# 4, or ran on a truncated or meaningless value
+LATE_FAILURES = ["wgan_gen_hidden=0", "wgan_critic_hidden=-3", "wgan_lr=nan",
+                 "wgan_tau=nan", "wgan_lambda=inf", "fit_epochs=-3", "fit_l2_grid=nan",
+                 "t0=2.7", "wgan_batch=2.7", "fit_l2_grid=1e-4,", "alphas=0.5,,2"]
+
+
+def bad_value(domain, case):
+    """A value outside a config table domain: of the wrong type, out of its
+    range, or empty. A domain this does not know fails the test."""
+    if case == "empty":
+        return ""
+    if isinstance(domain, Choice):
+        return {"wrong type": "1", "out of domain": "galactic"}[case]
+    assert isinstance(domain, Number), f"no bad values known for {domain!r}"
+    if case == "wrong type":
+        one = "2.5" if domain.kind is int else "x"
+    else:
+        one = f"{domain.lo if domain.strict else domain.lo - 1:g}"
+    return f"1,{one}" if domain.many else one
 
 
 @pytest.fixture(scope="module")
@@ -644,19 +695,35 @@ class TestCliPipeline:
                          "--set", override]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("override,field", [
-        ("wgan_gen_hidden=0", "gen_hidden"),
-        ("wgan_critic_hidden=-3", "critic_hidden"),
-        ("wgan_lr=nan", "lr"),
-        ("wgan_tau=nan", "tau"),
-        ("wgan_lambda=inf", "gp_lambda"),
-    ])
-    def test_train_market_rejects_bad_wgan_values(self, workdir, tmp_path, capsys,
-                                                  override, field):
-        out = tmp_path / "market.ckpt"
-        assert cli_main(["train-market", str(workdir / "data"), "--split", "train",
-                         "--out", str(out)] + self.quick_sets() + ["--set", override]) == 2
-        assert f"WganConfig.{field} " in capsys.readouterr().err
+    @pytest.mark.parametrize("key,value", [
+        (key, case) for key in KEYS for case in DOMAIN_CASES] + [
+        tuple(override.split("=")) for override in LATE_FAILURES])
+    def test_value_outside_its_domain_exits_2_and_names_the_key(
+            self, workdir, tmp_path, capsys, key, value):
+        # every key is checked before any work, whichever command runs
+        if value in DOMAIN_CASES:
+            value = bad_value(KEYS[key][1], value)
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out)]
+                        + self.quick_sets() + ["--set", f"{key}={value}"]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.usefixtures("pipeline")
+    @pytest.mark.parametrize("echo", [{"wgan_tau": "abc"}, None])
+    def test_mmd_on_a_market_without_a_valid_tau_exits_3(self, workdir, tmp_path, capsys,
+                                                         echo):
+        manifest, arrays = ckpt.load_checkpoint(workdir / "market_test.ckpt")
+        if echo is None:
+            del manifest["config"]
+        else:
+            manifest["config"].update(echo)
+        model, out = tmp_path / "market.ckpt", tmp_path / "mmd.tsv"
+        ckpt.save_checkpoint(model, manifest, arrays)
+        assert cli_main(["mmd", "--data", str(workdir / "data"), "--model", str(model),
+                         "--out", str(out), "--set", "mmd_n=60",
+                         "--set", "mmd_repeats=5"]) == 3
+        assert str(model) in capsys.readouterr().err
         assert not out.exists()
 
     def test_typo_in_set_key_exits_2_and_names_it(self, workdir, tmp_path, capsys):

@@ -6,6 +6,7 @@ from rtblab.autodiff import (
     DenseLayer,
     Mlp,
     gradient_penalty,
+    gumbel_softmax_vjp,
     mlp_backward,
     mlp_forward,
 )
@@ -417,11 +418,30 @@ class TestTraining:
         assert np.array_equal(runs[0][1].params, runs[1][1].params)
 
 
-@pytest.mark.parametrize("bad", [{"l2": -1e-4}, {"l2": float("nan")}, {"l2": float("inf")},
-                                 {"gen_hidden": (16, 0)}, {"critic_hidden": (8.5,)}])
-def test_wgan_config_refuses_bad_values(bad):
-    with pytest.raises(ConfigError, match=f"WganConfig.{next(iter(bad))} "):
-        WganConfig(**bad)
+@pytest.mark.parametrize("dims,batch,hidden,z_dim", [
+    ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 64, (32,), 8),  # learn-market
+    ((30, 20, 12, 10, 8, 8, 6, 5, 4, 3, 3, 2, 2, 1), 1024, (256, 256, 128), 64),  # paper
+])
+def test_generator_loss_skips_only_the_critic_parameter_gradient(dims, batch, hidden, z_dim):
+    # generator_loss backpropagates through the critic for the input
+    # gradient alone; the full backward's must be the same to the bit
+    fdict = synth_feature_dict(dims)
+    cfg = WganConfig(batch_size=batch, z_dim=z_dim, gen_hidden=hidden, critic_hidden=hidden)
+    gen = build_generator(fdict, cfg, stream(74, "gen"))
+    critic = build_critic(fdict.width, cfg, stream(74, "critic"))
+    rng = stream(74, "draws")
+    z = rng.standard_normal((batch, z_dim))
+    noise = gumbel(rng, (batch, fdict.width), gen.dtype)
+    x, trace = generator_forward(gen, z, cfg.tau, noise, record=True)
+    scores, c_trace = mlp_forward(critic, x, record=True)
+    seed = np.full((batch, 1), -1.0 / batch)
+    _, dx_full = mlp_backward(c_trace, seed)
+    _, dx = mlp_backward(c_trace, seed, param_rows=slice(0, 0))
+    assert dx.tobytes() == dx_full.tobytes()
+    want, _ = mlp_backward(trace, gumbel_softmax_vjp(x, dx_full, cfg.tau, gen.starts))
+    loss, grads = generator_loss(gen, critic, z, cfg.tau, noise)
+    assert loss == float(-(scores.sum() / batch))
+    assert grads.tobytes() == want.tobytes()
 
 
 class TestOnePassIteration:

@@ -169,12 +169,6 @@ class TestDpSolve:
             assert tables.value[2, b] == pytest.approx(
                 recursive_value(probs, grid, 2, b), abs=1e-12)
 
-    @pytest.mark.parametrize("horizon, budget", [(0, 5), (-3, 5), (4, -1)])
-    def test_rejects_empty_horizon_and_negative_budget(self, horizon, budget):
-        with pytest.raises(ConfigError):
-            rlb_dp_solve(PriceHistogram(np.array([0.5, 0.5])), horizon, budget,
-                         ActionGrid([0.5, 1.5]))
-
     def test_value_monotone_in_time_and_budget(self):
         rng = stream(91, "dp")
         probs = rng.dirichlet(np.ones(4))
