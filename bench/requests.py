@@ -1,6 +1,6 @@
 """Time the request data path: ingest, load, fdqi transitions, the
-PackedRequests gathers and dots, the replay gather and one DDQN update,
-and measure the replay buffer's bytes per transition.
+PackedRequests gathers and dots and the replay gather, and measure the
+replay buffer's bytes per transition.
 
     python3 bench/requests.py --label after
     python3 bench/requests.py --label before --src OLD_CHECKOUT/src
@@ -28,11 +28,7 @@ On the one-hot shape only, it also times
 
 - gather_800 and gather_200000: `batch_arrays` of BATCH rows from a
   replay buffer holding 800 and 200 000 transitions of 1-row requests
-  (200 000 is the desk `ddqn_total_steps`);
-- ddqn_update: one DDQN update at the train-agents shape (batch 32,
-  shared width 128, branch 64, 20 actions): `batch_arrays` on a batch
-  drawn from a replay buffer holding 800 environment steps, then
-  `ddqn_loss` and `adam_step`;
+  (200 000 is the desk `ddqn_total_steps`),
 
 and records replay_bytes_per_transition: the memory (by tracemalloc) a
 full RING-slot `ReplayBuffer` holds per transition, when every step
@@ -48,17 +44,16 @@ small numpy calls; `scaled_median_ms` multiplies each median by
 HOST_REF_QUIET_S over the loop's fastest time in the run, so labels
 timed while the host ran slower or faster compare. The times, with the
 facts of the machine that ran them and hashes of the outputs (the
-sample file, every fdqi transition, the update's losses and network),
-go into BENCH_requests.json under --label, beside the labels already
-there; equal hashes across labels mean equal results. The ddqn hash
-also covers how `dot` rounds, so it differs between trees whose `dot`
-sums a row in another order. --src picks the rtblab source tree to
-time, so another checkout can be timed into the same file. The network
-hash reads `params`, whose layout ([f1_w, f1_b], then each layer's w
-and b) gives the same bytes as the per-layer arrays that earlier labels
-hashed. The labels before `flat-params` were recorded from trees with
-other layouts, which this script no longer drives, and the labels
-before `columnar-replay` timed a DDQN update on the tagged shape too.
+sample file and every fdqi transition), go into BENCH_requests.json
+under --label, beside the labels already there; equal hashes across
+labels mean equal results. --src picks the rtblab source tree to time,
+so another checkout can be timed into the same file. The labels already
+there also timed one DDQN update (`ddqn_update`, hashed as `ddqn`: its
+losses and network) on a replay buffer of 800 environment steps, which
+bench/q_update.py times now; the labels before `flat-params` were
+recorded from trees with other parameter layouts, which this script no
+longer drives, and the labels before `columnar-replay` timed that
+update on the tagged shape too.
 Only `csr-only`, `parent` and `column-ingest` have the rows_1, dot_1,
 dot_split and gather layers and host-scaled medians; the labels before
 them synthesized the log with the tree they timed. `parent` and
@@ -98,7 +93,6 @@ import workloads  # noqa: E402  (perfbench's synthetic market)
 
 SHAPES = ("one-hot", "tagged")
 T0 = 100
-ENV_STEPS = 800
 RING = 20_000
 GATHER_RINGS = (800, 200_000)
 TAPE = 1024
@@ -123,33 +117,6 @@ def synth_log(shape, tmp):
     if shape == "tagged":
         workloads.add_user_tags(log, 1)
     return log, os.path.join(raw, "schema.txt")
-
-
-def filled_buffer(samples):
-    """A replay buffer holding ENV_STEPS steps of random bids."""
-    from rtblab.agents import replay
-    from rtblab.env import EnvMeta, SimEnv
-    from rtblab.market_action import PriceModel
-    from rtblab.market_state import EmpiricalSampler
-    from rtblab.rng import stream
-
-    d = samples.width
-    env = SimEnv(EmpiricalSampler(samples.requests, stream(1, "bench", "x")),
-                 PriceModel(np.zeros(d), 60.0, np.zeros(d), float(np.log(20.0))),
-                 None, "impression", EnvMeta(cpm_ref=30_000.0, t0_ref=T0),
-                 stream(1, "bench", "market"))
-    g = stream(1, "bench", "bids")
-    buf = replay.ReplayBuffer()
-    obs = env.reset(3000.0, T0)
-    for _ in range(ENV_STEPS):
-        a = int(g.integers(20))
-        out = env.step(5.0 * a)
-        nxt = out.observation
-        row = (obs.request, obs.budget_norm, obs.time_norm, a, out.reward,
-               nxt.request, nxt.budget_norm, nxt.time_norm, out.done)
-        buf.push(*row)
-        obs = env.reset(3000.0, T0) if out.done else nxt
-    return buf
 
 
 def ring(samples, size):
@@ -190,11 +157,9 @@ def per_call(fn, calls=CALLS) -> float:
 
 
 def time_shape(shape, tmp, host_ref) -> dict:
-    from rtblab.agents import ActionGrid, QNetwork, ddqn_loss, fdqi_build_transitions
+    from rtblab.agents import ActionGrid, fdqi_build_transitions
     from rtblab.agents.replay import batch_arrays
     from rtblab.data import SampleSet, build_feature_dictionary, load_schema, parse_log
-    from rtblab.optim import AdamState, adam_step
-    from rtblab.rng import stream
 
     log, schema = synth_log(shape, tmp)
     schema = load_schema(schema)
@@ -210,22 +175,6 @@ def time_shape(shape, tmp, host_ref) -> dict:
     fdict = ingest()
     samples = SampleSet.load(path)
     one_hot = shape == "one-hot"
-    buf = filled_buffer(samples) if one_hot else None
-
-    def ddqn_updates():
-        """CALLS updates from a fresh network and sampling stream."""
-        rng = stream(1, "bench", "ddqn")
-        qnet = QNetwork.build(samples.width, rng)
-        target = qnet.copy()
-        state = AdamState(qnet.params)
-        losses = []
-        start = time.perf_counter()
-        for _ in range(CALLS):
-            batch = batch_arrays(buf, buf.sample(BATCH, rng))
-            loss, grads = ddqn_loss(qnet, target, batch)
-            adam_step(qnet.params, grads, state, lr=1e-3)
-            losses.append(loss)
-        return (time.perf_counter() - start) / CALLS, [np.array(losses), qnet.params]
 
     g = np.random.default_rng(7)
     w = g.standard_normal(samples.width)
@@ -259,10 +208,6 @@ def time_shape(shape, tmp, host_ref) -> dict:
             [batch[k] for k in ("b", "t", "action", "reward", "next_b", "next_t",
                                 "done")]
             + [batch["packed"].dense(), batch["next_packed"].dense()])
-        if one_hot:
-            t, nets = ddqn_updates()
-            times.setdefault("ddqn_update", []).append(t)
-            hashes["ddqn"] = digest(nets)
         outputs.add(tuple(sorted(hashes.items())))
     if len(outputs) != 1:
         raise SystemExit(f"{shape}: repeats gave different outputs")
@@ -275,8 +220,7 @@ def time_shape(shape, tmp, host_ref) -> dict:
         "times_ms": {k: [1e3 * x for x in v] for k, v in times.items()},
     }
     if one_hot:
-        out.update(env_steps=ENV_STEPS, ring=RING,
-                   replay_bytes_per_transition=replay_bytes(samples))
+        out.update(ring=RING, replay_bytes_per_transition=replay_bytes(samples))
     return out
 
 

@@ -6,6 +6,11 @@ is initialized from the price model's mean head. A shared trunk layer
 feeds separate value and advantage branches combined as
 Q = V + (A - mean A). All parameters live in one vector, laid out as
 [f1_w, f1_b, trunk, value, advantage], and each part is a view into it.
+
+QNetwork.build makes float32 nets (NET_DTYPE): the forward input, the
+output seed and the parameter gradient are made in the net's dtype, so
+training and acting run in float32. A net built from float64 arrays (an
+older checkpoint) keeps float64 and computes in it.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +21,9 @@ from ..autodiff import Mlp, mlp_backward, mlp_forward, pack
 from ..data import PackedRequests
 from ..errors import ConfigError
 from ..optim import make_mlp
+
+# dtype of the nets QNetwork.build makes
+NET_DTYPE = np.float32
 
 
 @dataclass
@@ -46,7 +54,8 @@ class QNetwork:
     def build(cls, width: int, rng, n_actions: int = 20, shared: int = 128,
               branch: int = 64, price_model=None) -> "QNetwork":
         """Xavier everywhere except the bottleneck, which starts at the
-        price model's mean head when one is given."""
+        price model's mean head when one is given. The float64 draws and
+        the mean head are rounded to NET_DTYPE."""
         if price_model is not None:
             if price_model.mu_w.size != width:
                 raise ConfigError("price model width does not match request width")
@@ -57,18 +66,20 @@ class QNetwork:
             f1_w = rng.uniform(-r, r, size=width)
             f1_b = np.zeros(1)
         return cls(
-            f1_w,
-            f1_b,
-            make_mlp([3, shared], ["relu"], rng),
-            make_mlp([shared, branch, 1], ["relu", "identity"], rng),
-            make_mlp([shared, branch, n_actions], ["relu", "identity"], rng),
+            f1_w.astype(NET_DTYPE),
+            f1_b.astype(NET_DTYPE),
+            make_mlp([3, shared], ["relu"], rng, NET_DTYPE),
+            make_mlp([shared, branch, 1], ["relu", "identity"], rng, NET_DTYPE),
+            make_mlp([shared, branch, n_actions], ["relu", "identity"], rng, NET_DTYPE),
         )
 
 
 def _batch_input(qnet: QNetwork, packed: PackedRequests, b_norm, t_norm):
+    """The trunk's (n, 3) input [bottleneck, budget, time] in the net's dtype."""
+    dtype = qnet.params.dtype
     h1 = packed.dot(qnet.f1_w) + qnet.f1_b[0]
-    return np.column_stack([h1, np.asarray(b_norm, dtype=np.float64),
-                            np.asarray(t_norm, dtype=np.float64)])
+    return np.column_stack([h1.astype(dtype, copy=False), np.asarray(b_norm, dtype=dtype),
+                            np.asarray(t_norm, dtype=dtype)])
 
 
 def q_forward(qnet: QNetwork, packed: PackedRequests, b_norm, t_norm,
@@ -88,8 +99,9 @@ def q_forward(qnet: QNetwork, packed: PackedRequests, b_norm, t_norm,
 
 
 def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> np.ndarray:
-    """Parameter gradient (laid out as qnet.params) for a seed on the Q
-    output: dueling combine, branches, trunk, then the request bottleneck."""
+    """Parameter gradient (laid out as qnet.params, in its dtype) for a
+    seed on the Q output: dueling combine, branches, trunk, then the
+    request bottleneck."""
     packed, t_trace, v_trace, a_trace = traces
     k = qnet.n_actions
     dv = dq.sum(axis=1, keepdims=True)
@@ -98,7 +110,8 @@ def q_backward(qnet: QNetwork, traces, dq: np.ndarray) -> np.ndarray:
     g_adv, d_trunk_a = mlp_backward(a_trace, da)
     g_trunk, d_in = mlp_backward(t_trace, d_trunk_v + d_trunk_a)
     dh1 = d_in[:, 0]
-    return np.concatenate([packed.scatter(dh1), [dh1.sum()], g_trunk, g_value, g_adv])
+    return np.concatenate([packed.scatter(dh1), [dh1.sum()], g_trunk, g_value, g_adv],
+                          dtype=qnet.params.dtype)
 
 
 def td_regression(qnet: QNetwork, batch: dict, target: np.ndarray):
@@ -109,7 +122,7 @@ def td_regression(qnet: QNetwork, batch: dict, target: np.ndarray):
     q, traces = q_forward(qnet, batch["packed"], batch["b"], batch["t"], record=True)
     taken = q[np.arange(n), batch["action"]]
     err = taken - target
-    dq = np.zeros_like(q)
+    dq = np.zeros_like(q)   # q, and so the seed, is in the net's dtype
     dq[np.arange(n), batch["action"]] = 2.0 * err / n
     return float(np.mean(err * err)), q_backward(qnet, traces, dq)
 

@@ -49,8 +49,12 @@ def rlb_dp_solve(m: PriceHistogram, horizon: int, max_budget: int,
     # loses lose[min(b, e) + 1] at budget b
     lose = 1.0 - np.concatenate(([0.0], np.cumsum(probs[: d_top[-1] + 1])))
 
-    value = np.zeros((T + 1, B + 1))
-    policy = np.zeros((T + 1, B + 1), dtype=np.int32)
+    try:
+        value = np.zeros((T + 1, B + 1))
+        policy = np.zeros((T + 1, B + 1), dtype=np.int32)
+    except (MemoryError, ValueError) as exc:   # numpy refuses sizes it cannot hold
+        raise ConfigError(f"the DP tables for horizon {T} and budget grid {B} cannot "
+                          f"be allocated ({exc}); lower rlb_horizon") from None
     for t in range(1, T + 1):
         prev = value[t - 1]
         gain = 1.0 + prev

@@ -5,9 +5,10 @@ tanh / identity activations, which covers every network used in the
 package. A network's parameters are one flat vector, its layers views
 into it, and each parameter gradient is one vector in the same layout.
 The arithmetic follows the dtype of that vector: inputs and seeds are
-cast to it, so a float32 net (the market-state generator and critic)
-runs in float32 and a float64 net (every other net, and the
-finite-difference oracles) in float64. Gradients are computed by an
+cast to it, so a float32 net (the market-state generator and critic,
+the Q-networks) runs in float32 and a float64 net (the
+finite-difference oracles, and nets loaded from float64 checkpoints) in
+float64. Gradients are computed by an
 explicit layer-by-layer backward pass over a recorded trace; the second-order
 quantity needed by the critic's input-gradient penalty is computed
 forward-over-reverse (a directional derivative pushed through both the

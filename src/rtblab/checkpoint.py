@@ -3,10 +3,11 @@
 The container is a one-line JSON manifest followed by named
 little-endian array blobs, with an integrity hash over the payload.
 Integer arrays are stored as int32 ("<i4"), float32 arrays (the
-market-state generator and critic) as float32 ("<f4") and all others
-as float64 ("<f8"); each directory entry names its dtype, and an entry
-without one (written before dtypes were recorded) is float64. Round
-trips are bit-exact and keep the dtype.
+market-state generator and critic, and the exddqn and fdqi Q-networks)
+as float32 ("<f4") and all others as float64 ("<f8"); each directory
+entry names its dtype, and an entry without one (written before dtypes
+were recorded) is float64. Round trips are bit-exact and keep the
+dtype, so a Q-network saved in float64 loads and acts in float64.
 
 Every typed manifest is built by _manifest (type, split, the config as
 strings, then the kind's own fields), and every typed file is opened by

@@ -24,7 +24,7 @@ from rtblab.agents import (
     train_ddqn,
 )
 from rtblab.agents.replay import batch_arrays
-from rtblab.autodiff import mlp_forward
+from rtblab.autodiff import DenseLayer, Mlp, mlp_forward
 from rtblab.data import PackedRequests, SampleSet
 from rtblab.env import EnvMeta, SimEnv
 from rtblab.errors import DataError
@@ -53,6 +53,15 @@ def toy_obs(width=4, hot=0, b=0.5, t=1.0):
         time_norm = t
 
     return Obs()
+
+
+def float64_copy(qnet):
+    """The same net with every part widened to float64: QNetwork.build
+    makes float32 nets, and the oracles below hold at float64 tolerances."""
+    nets = [Mlp([DenseLayer(lay.w.astype(np.float64), lay.b.astype(np.float64), lay.act)
+                 for lay in net.layers])
+            for net in (qnet.trunk, qnet.value, qnet.advantage)]
+    return QNetwork(qnet.f1_w.astype(np.float64), qnet.f1_b.astype(np.float64), *nets)
 
 
 def const_qnet(width=3, k=4, v0=0.0, adv=None):
@@ -101,7 +110,7 @@ class TestActionGrid:
 class TestQNetwork:
     def test_dueling_identity_mean_q_equals_v(self):
         rng = stream(110, "q")
-        qnet = QNetwork.build(6, rng, n_actions=5, shared=16, branch=8)
+        qnet = float64_copy(QNetwork.build(6, rng, n_actions=5, shared=16, branch=8))
         packed = PackedRequests(np.arange(7)[:, None] % 6, 6)
         b = rng.random(7)
         t = rng.random(7)
@@ -129,7 +138,7 @@ class TestQNetwork:
 
     def test_writing_params_changes_q_forward(self):
         rng = stream(114, "q")
-        qnet = QNetwork.build(5, rng, n_actions=4, shared=8, branch=6)
+        qnet = float64_copy(QNetwork.build(5, rng, n_actions=4, shared=8, branch=6))
         packed = PackedRequests(np.arange(3)[:, None] % 5, 5)
         b, t = rng.random(3), rng.random(3)
         before = q_forward(qnet, packed, b, t)
@@ -161,7 +170,7 @@ class TestQNetwork:
 
     def test_gradients_match_finite_differences(self):
         rng = stream(112, "q-fd")
-        qnet = QNetwork.build(5, rng, n_actions=4, shared=8, branch=6)
+        qnet = float64_copy(QNetwork.build(5, rng, n_actions=4, shared=8, branch=6))
         packed = PackedRequests(np.arange(3)[:, None] % 5, 5)
         b = rng.random(3)
         t = rng.random(3)
@@ -184,6 +193,25 @@ class TestQNetwork:
             flat[i] = orig
             fd = (fp - fm) / (2 * h)
             assert abs(grads[i] - fd) / max(1.0, abs(fd)) < 1e-4
+
+    def test_float32_net_tracks_its_float64_copy(self):
+        # float32 keeps about 7 significant digits, and a trunk unit sums
+        # 128 products: Q and its gradient stay within 1e-5 of their largest
+        # magnitude (about 30 times the worst error seen over 20 seeds)
+        rng = stream(116, "q32")
+        qnet = QNetwork.build(40, rng, n_actions=20)
+        ref = float64_copy(qnet)
+        assert qnet.params.dtype == np.float32 and ref.params.dtype == np.float64
+        packed = PackedRequests(rng.integers(0, 40, size=(32, 5)), 40)
+        b, t = 3.0 * rng.random(32), rng.random(32)
+        seed = rng.normal(size=(32, 20))
+        q, traces = q_forward(qnet, packed, b, t, record=True)
+        q_ref, traces_ref = q_forward(ref, packed, b, t, record=True)
+        grads = q_backward(qnet, traces, seed)
+        grads_ref = q_backward(ref, traces_ref, seed)
+        assert q.dtype == grads.dtype == np.float32
+        assert np.max(np.abs(q - q_ref)) <= 1e-5 * np.max(np.abs(q_ref))
+        assert np.max(np.abs(grads - grads_ref)) <= 1e-5 * np.max(np.abs(grads_ref))
 
     def test_greedy_action_invariant_to_positive_scaling(self):
         rng = stream(113, "q")

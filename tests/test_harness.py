@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rtblab.agents import (
     q_forward,
     rlb_dp_solve,
 )
+from rtblab.agents.qnet import q_values
 from rtblab.cli import main as cli_main
 from rtblab.config import KEYS, Choice, Number, config_lines, effective_config
 from rtblab.autodiff import DenseLayer, DimensionError, Mlp
@@ -317,6 +319,43 @@ class TestCheckpointContainer:
             a for net in (loaded.trunk, loaded.value, loaded.advantage)
             for lay in net.layers for a in (lay.w, lay.b)]
         assert all(np.shares_memory(a, loaded.params) for a in parts)
+
+    def test_float32_q_agent_is_stored_and_read_as_float32(self, tmp_path):
+        qnet = QNetwork.build(6, stream(139, "ck"), n_actions=5, shared=8, branch=4)
+        assert qnet.params.dtype == np.float32
+        path = tmp_path / "agent.ckpt"
+        ckpt.save_agent(path, "exddqn", GreedyQAgent(qnet, ActionGrid.from_max_price(10.0, k=5)),
+                        {"seed": 1})
+        with open(path, "rb") as fh:
+            fh.readline()
+            directory = json.loads(fh.readline())["arrays"]
+        dtypes = {e["name"]: e["dtype"] for e in directory}
+        assert dtypes.pop("grid") == "<f8"
+        assert set(dtypes.values()) == {"<f4"}
+        loaded = ckpt.load_agent(path)[0].qnet
+        assert loaded.params.dtype == np.float32
+        assert np.array_equal(loaded.params, qnet.params)
+        parts = [loaded.f1_w, loaded.f1_b] + [
+            a for net in (loaded.trunk, loaded.value, loaded.advantage)
+            for lay in net.layers for a in (lay.w, lay.b)]
+        assert all(a.dtype == np.float32 and np.shares_memory(a, loaded.params)
+                   for a in parts)
+
+    def test_float64_q_checkpoint_keeps_its_q_values(self, tmp_path):
+        # a float64 Q net (as every exddqn checkpoint written before the Q
+        # nets became float32) loads as float64 and acts on the bits its
+        # parent tree gave: the digest was recorded there
+        arange_checkpoints(tmp_path)
+        qnet = ckpt.load_agent(tmp_path / "exddqn.ckpt")[0].qnet
+        assert qnet.params.dtype == np.float64
+        h = hashlib.sha256()
+        for hot, b, t in ((0, 0.5, 1.0), (2, 1.25, 0.3), (4, 0.0, 0.05)):
+            obs = SimpleNamespace(request=onehots([hot], 5), budget_norm=b, time_norm=t)
+            q = q_values(qnet, obs)
+            assert q.dtype == np.float64
+            h.update(q.tobytes())
+        assert h.hexdigest() == (
+            "b3b7116c6c23dc2cd86f58df9640ce2bd5c4e796c089482d9b6ddc92597d8500")
 
     def test_market_state_round_trip(self, tmp_path):
         fdict = synth_feature_dict((2, 2))
@@ -693,6 +732,17 @@ class TestCliPipeline:
         out = tmp_path / "rlb.ckpt"
         assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
                          "--set", override]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["100000", "1000000000000"])
+    def test_solve_rlb_horizon_too_big_to_allocate_exits_2(self, workdir, tmp_path,
+                                                           capsys, horizon):
+        # numpy refuses both table sizes (22 TiB, and a size it cannot
+        # represent) before it allocates anything
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(workdir / "data"), "--out", str(out),
+                         "--set", f"rlb_horizon={horizon}"]) == 2
+        assert "rlb_horizon" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
