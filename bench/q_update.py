@@ -18,42 +18,25 @@ script times:
 - `adam_step`: `adam_step` alone on the Q parameter vector, with one
   fixed gradient.
 
-Every time is the median over REPEATS repeats (--repeats) of the mean of
-CALLS calls. Each repeat starts the updates from the same net and Adam
-state, so it ends with the same parameters; their sha256 (as float64)
-goes into the output, and every repeat must give the same one. Before
-each repeat the script reads perfbench's `host_reference()`, a fixed
-loop of small numpy calls; `scaled_median_us` multiplies each median by
-HOST_REF_QUIET_S over the loop's fastest time in the run, so labels
-timed while the host ran slower or faster compare. The times, with the
-facts of the machine that ran them, go into BENCH_q_update.json (--out)
-under --label, beside the labels already there. --src picks the rtblab
-source tree to time, so another checkout can be timed into the same
-file. `parent` and `float32` were recorded together: `parent` (--src)
-from the tree whose Q nets are float64, and `float32` from the tree
-whose `QNetwork.build` makes float32 nets, so their hashes differ.
+Every time is the mean of CALLS calls. Each repeat starts the updates
+from the same net and Adam state, so it ends with the same parameters;
+`outputs_sha256` hashes them (as float64), and every repeat must give
+the same one. The options, the repeats, the host scaling and the file,
+BENCH_q_update.json, are bench/harness.py's; the run's one shape,
+`train-agents`, goes under `layers`. `parent` and `float32` were
+recorded before the harness, so `layers` holds that shape's record
+itself where later labels hold a one-record list. They were recorded
+together: `parent` (--src) from the tree whose Q nets are float64, and
+`float32` from the tree whose `QNetwork.build` makes float32 nets, so
+their hashes differ.
 """
 
-import os
 import sys
+import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_q_update.json")
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from run import (  # noqa: E402  (fixes the BLAS threads before numpy loads)
-    HOST_REF_QUIET_S,
-    host_reference,
-    machine_facts,
-)
+import harness
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np  # after harness, which fixes the BLAS threads
 
 WIDTH = 88            # the train-agents benchmark's dictionary width
 FIELDS = 14           # one active index per field
@@ -62,7 +45,6 @@ N_TRANSITIONS = 4096
 DDQN_BATCH = 32
 FDQI_BATCH = 256
 CALLS = 40
-REPEATS = 5
 
 
 def transitions(g) -> dict:
@@ -101,21 +83,7 @@ def replay(table):
     return buf
 
 
-def per_call(fn) -> float:
-    start = time.perf_counter()
-    for _ in range(CALLS):
-        fn()
-    return (time.perf_counter() - start) / CALLS
-
-
-def digest(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-def time_layers(repeats, host_ref) -> dict:
+def shape():
     from rtblab.agents import QNetwork, ddqn_loss, fitted_q_loss
     from rtblab.agents.replay import batch_arrays
     from rtblab.optim import AdamState, adam_step
@@ -152,76 +120,34 @@ def time_layers(repeats, host_ref) -> dict:
         for _ in range(CALLS):
             adam_step(qnet.params, grad, state, lr=1e-3)
 
+    ends = {}
+
     def run(updates):
-        """CALLS updates from net0 and a fresh Adam state: (seconds per
-        update, the parameters they end with)."""
-        qnet = net0.copy()
-        state = AdamState(qnet.params)
-        start = time.perf_counter()
-        updates(qnet, state, stream(1, "bench", "sample"))
-        return (time.perf_counter() - start) / CALLS, qnet.params
+        """A timer of CALLS updates from net0 and a fresh Adam state,
+        which keeps the parameters they end with."""
+        def seconds():
+            qnet = net0.copy()
+            state = AdamState(qnet.params)
+            start = time.perf_counter()
+            updates(qnet, state, stream(1, "bench", "sample"))
+            elapsed = time.perf_counter() - start
+            ends[updates] = qnet.params
+            return elapsed / CALLS
+        return seconds
 
-    updates = {"ddqn_update": ddqn_updates, "fdqi_update": fdqi_updates,
-               "adam_step": adam_steps}
-    losses = {"ddqn_loss": lambda: ddqn_loss(net0, target, ddqn_batch),
-              "fitted_q_loss": lambda: fitted_q_loss(net0, target, fdqi_batch)}
-    times = {k: [] for k in ("ddqn_update", "ddqn_loss", "fdqi_update", "fitted_q_loss",
-                             "adam_step")}
-    hashes = set()
-    for _ in range(repeats):
-        host_ref.append(host_reference())
-        ends = []
-        for k, update in updates.items():
-            elapsed, params = run(update)
-            times[k].append(elapsed)
-            ends.append(params)
-        for k, fn in losses.items():
-            times[k].append(per_call(fn))
-        hashes.add(digest(ends + [grad]))
-    if len(hashes) != 1:
-        raise SystemExit("repeats gave different outputs")
-    return {
-        "width": WIDTH, "fields": FIELDS, "n_actions": N_ACTIONS,
-        "params": int(net0.params.size), "dtype": str(net0.params.dtype),
-        "transitions": N_TRANSITIONS, "ddqn_batch": DDQN_BATCH, "fdqi_batch": FDQI_BATCH,
-        "calls": CALLS, "repeats": repeats, "outputs_sha256": hashes.pop(),
-        "median_us": {k: 1e6 * statistics.median(v) for k, v in times.items()},
-        "min_us": {k: 1e6 * min(v) for k, v in times.items()},
-        "times_us": {k: [1e6 * x for x in v] for k, v in times.items()},
-    }
-
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--label", required=True)
-    p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    p.add_argument("--repeats", type=int, default=REPEATS)
-    p.add_argument("--out", default=OUT)
-    args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
-    sys.path.insert(0, os.path.abspath(args.src))
-
-    host_ref = []
-    run = time_layers(args.repeats, host_ref)
-    scale = HOST_REF_QUIET_S / min(host_ref)
-    run["scaled_median_us"] = {k: v * scale for k, v in run["median_us"].items()}
-    cells = "  ".join(f"{k} {v:.1f} ({run['scaled_median_us'][k]:.1f})"
-                      for k, v in run["median_us"].items())
-    print(f"{args.label}: {run['dtype']} median us (host-scaled) {cells}")
-    print(f"{args.label}: host reference {min(host_ref):.4f} s, scale {scale:.3f}")
-
-    result = {"runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-    result["runs"][args.label] = {"machine": machine_facts(), "layers": run,
-                                  "host_reference_s": host_ref, "host_scale": scale}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    layers = {"ddqn_update": run(ddqn_updates), "fdqi_update": run(fdqi_updates),
+              "adam_step": run(adam_steps),
+              "ddqn_loss": harness.timer(lambda: ddqn_loss(net0, target, ddqn_batch), CALLS),
+              "fitted_q_loss": harness.timer(lambda: fitted_q_loss(net0, target, fdqi_batch),
+                                             CALLS)}
+    facts = {"width": WIDTH, "fields": FIELDS, "n_actions": N_ACTIONS,
+             "params": int(net0.params.size), "dtype": str(net0.params.dtype),
+             "transitions": N_TRANSITIONS, "ddqn_batch": DDQN_BATCH,
+             "fdqi_batch": FDQI_BATCH, "calls": CALLS}
+    return facts, layers, lambda: {"outputs_sha256": harness.digest(
+        list(ends.values()) + [grad])}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_q_update.json", "us", {"train-agents": shape},
+                          key="layers"))

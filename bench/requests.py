@@ -37,59 +37,39 @@ makes one new 1-row request that is also the next step's request, as
 be filled from a ragged empirical corpus, and the replay buffer holds
 requests of one index count only (that of its first push).
 
-Every layer time is the median over REPEATS repeats of the mean of CALLS
-calls (MICRO_CALLS for the layers of a few microseconds). Before each
-repeat the script reads perfbench's `host_reference()`, a fixed loop of
-small numpy calls; `scaled_median_ms` multiplies each median by
-HOST_REF_QUIET_S over the loop's fastest time in the run, so labels
-timed while the host ran slower or faster compare. The times, with the
-facts of the machine that ran them and hashes of the outputs (the
-sample file and every fdqi transition), go into BENCH_requests.json
-under --label, beside the labels already there; equal hashes across
-labels mean equal results. --src picks the rtblab source tree to time,
-so another checkout can be timed into the same file. The labels already
-there also timed one DDQN update (`ddqn_update`, hashed as `ddqn`: its
-losses and network) on a replay buffer of 800 environment steps, which
+Every layer is the mean of CALLS calls (MICRO_CALLS for the layers of
+a few microseconds). The options, the repeats, the host scaling and the
+file, BENCH_requests.json, are bench/harness.py's. `outputs_sha256`
+hashes the sample file and every fdqi transition; equal hashes across
+labels mean equal results. The labels up to `column-ingest` also timed
+one DDQN update (`ddqn_update`, hashed as `ddqn`: its losses and
+network) on a replay buffer of 800 environment steps, which
 bench/q_update.py times now; the labels before `flat-params` were
 recorded from trees with other parameter layouts, which this script no
 longer drives, and the labels before `columnar-replay` timed that
-update on the tagged shape too.
-Only `csr-only`, `parent` and `column-ingest` have the rows_1, dot_1,
-dot_split and gather layers and host-scaled medians; the labels before
-them synthesized the log with the tree they timed. `parent` and
+update on the tagged shape too. The labels before `csr-only` have no
+rows_1, dot_1, dot_split or gather layer and no host-scaled medians,
+and synthesized the log with the tree they timed. `parent` and
 `column-ingest` were recorded together, `parent` from the tree before
 `column-ingest`; the labels before those two timed ingest as
-`from_records` and `save` only, on records parsed beforehand. In trees that number a record's tags in set
-order, the tagged shape's dictionary follows the hash seed, so its
-hashes compare across labels only when PYTHONHASHSEED is fixed (it is
-recorded with the run).
+`from_records` and `save` only, on records parsed beforehand. In trees
+that number a record's tags in set order, the tagged shape's
+dictionary follows the hash seed, so its hashes compare across labels
+only when PYTHONHASHSEED is fixed (it is recorded with the run).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_requests.json")
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from run import (  # noqa: E402  (fixes the BLAS threads before numpy loads)
-    HOST_REF_QUIET_S,
-    host_reference,
-    machine_facts,
-)
+import harness
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
+import numpy as np  # after harness, which fixes the BLAS threads
 
-import numpy as np  # noqa: E402
-
-import workloads  # noqa: E402  (perfbench's synthetic market)
+import workloads  # perfbench's synthetic market
 
 SHAPES = ("one-hot", "tagged")
 T0 = 100
@@ -99,7 +79,6 @@ TAPE = 1024
 BATCH = 32
 CALLS = 20
 MICRO_CALLS = 2000
-REPEATS = 5
 
 
 def synth_log(shape, tmp):
@@ -112,7 +91,7 @@ def synth_log(shape, tmp):
     raw = os.path.join(tmp, f"raw-{shape}")
     subprocess.run([sys.executable, "-m", "rtblab.cli", "synth", spec, "--out", raw,
                     "--seed", "1"], check=True, capture_output=True,
-                   env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+                   env=dict(os.environ, PYTHONPATH=os.path.join(harness.ROOT, "src")))
     log = os.path.join(raw, "log.tsv")
     if shape == "tagged":
         workloads.add_user_tags(log, 1)
@@ -142,28 +121,14 @@ def replay_bytes(samples) -> float:
     return held / RING
 
 
-def digest(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-def per_call(fn, calls=CALLS) -> float:
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
-
-
-def time_shape(shape, tmp, host_ref) -> dict:
+def shape(name, tmp):
     from rtblab.agents import ActionGrid, fdqi_build_transitions
     from rtblab.agents.replay import batch_arrays
     from rtblab.data import SampleSet, build_feature_dictionary, load_schema, parse_log
 
-    log, schema = synth_log(shape, tmp)
+    log, schema = synth_log(name, tmp)
     schema = load_schema(schema)
-    path = os.path.join(tmp, f"{shape}.samples")
+    path = os.path.join(tmp, f"{name}.samples")
     grid = ActionGrid.from_max_price(300.0)
 
     def ingest():
@@ -174,89 +139,44 @@ def time_shape(shape, tmp, host_ref) -> dict:
 
     fdict = ingest()
     samples = SampleSet.load(path)
-    one_hot = shape == "one-hot"
 
     g = np.random.default_rng(7)
     w = g.standard_normal(samples.width)
     tape = samples.requests.rows(np.arange(min(TAPE, len(samples))))
     one = tape.rows([7])
     layers = {
-        "ingest": (ingest, CALLS),
-        "load": (lambda: SampleSet.load(path), CALLS),
-        "fdqi": (lambda: fdqi_build_transitions(samples, grid, T0, 30_000.0), CALLS),
-        "rows_1": (lambda: tape.rows([7]), MICRO_CALLS),
-        "dot_1": (lambda: one.dot(w), MICRO_CALLS),
-        "dot_split": (lambda: samples.requests.dot(w), CALLS),
+        "ingest": harness.timer(ingest, CALLS),
+        "load": harness.timer(lambda: SampleSet.load(path), CALLS),
+        "fdqi": harness.timer(lambda: fdqi_build_transitions(samples, grid, T0, 30_000.0),
+                              CALLS),
+        "rows_1": harness.timer(lambda: tape.rows([7]), MICRO_CALLS),
+        "dot_1": harness.timer(lambda: one.dot(w), MICRO_CALLS),
+        "dot_split": harness.timer(lambda: samples.requests.dot(w), CALLS),
     }
-    if one_hot:
+    facts = {"records": len(samples), "width": fdict.width, "t0": T0, "batch": BATCH,
+             "calls": CALLS}
+    if name == "one-hot":
         for size in GATHER_RINGS:
             table = ring(samples, size)
             ids = table.sample(BATCH, g)
-            layers[f"gather_{size}"] = (lambda t=table, i=ids: batch_arrays(t, i),
-                                        MICRO_CALLS)
-    times = {k: [] for k in layers}
-    outputs = set()
-    for _ in range(REPEATS):
-        host_ref.append(host_reference())
-        for k, (fn, calls) in layers.items():
-            times[k].append(per_call(fn, calls))
+            layers[f"gather_{size}"] = harness.timer(
+                lambda t=table, i=ids: batch_arrays(t, i), MICRO_CALLS)
+        facts.update(ring=RING, replay_bytes_per_transition=replay_bytes(samples))
+
+    def outputs():
         trs = fdqi_build_transitions(samples, grid, T0, 30_000.0)
         batch = batch_arrays(trs, np.arange(len(trs["reward"])))
         with open(path, "rb") as fh:
             hashes = {"samples": hashlib.sha256(fh.read()).hexdigest()}
-        hashes["fdqi"] = digest(
-            [batch[k] for k in ("b", "t", "action", "reward", "next_b", "next_t",
-                                "done")]
+        hashes["fdqi"] = harness.digest(
+            [batch[k] for k in ("b", "t", "action", "reward", "next_b", "next_t", "done")]
             + [batch["packed"].dense(), batch["next_packed"].dense()])
-        outputs.add(tuple(sorted(hashes.items())))
-    if len(outputs) != 1:
-        raise SystemExit(f"{shape}: repeats gave different outputs")
-    out = {
-        "name": shape, "records": len(samples), "width": fdict.width, "t0": T0,
-        "batch": BATCH, "calls": CALLS, "repeats": REPEATS,
-        "outputs_sha256": dict(outputs.pop()),
-        "median_ms": {k: 1e3 * statistics.median(v) for k, v in times.items()},
-        "min_ms": {k: 1e3 * min(v) for k, v in times.items()},
-        "times_ms": {k: [1e3 * x for x in v] for k, v in times.items()},
-    }
-    if one_hot:
-        out.update(ring=RING, replay_bytes_per_transition=replay_bytes(samples))
-    return out
+        return {"outputs_sha256": hashes}
 
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--label", required=True)
-    p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    args = p.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-
-    host_ref = []
-    with tempfile.TemporaryDirectory() as tmp:
-        shapes = [time_shape(shape, tmp, host_ref) for shape in SHAPES]
-    scale = HOST_REF_QUIET_S / min(host_ref)
-    for s in shapes:
-        s["scaled_median_ms"] = {k: v * scale for k, v in s["median_ms"].items()}
-        cells = "  ".join(f"{k} {v:.4g} ({s['scaled_median_ms'][k]:.4g})"
-                          for k, v in s["median_ms"].items())
-        print(f"{args.label}: {s['name']} median ms (host-scaled) {cells}")
-        if "replay_bytes_per_transition" in s:
-            print(f"{args.label}: {s['name']} replay_bytes_per_transition "
-                  f"{s['replay_bytes_per_transition']:.1f}")
-    print(f"{args.label}: host reference {min(host_ref):.4f} s, scale {scale:.3f}")
-
-    result = {"runs": {}}
-    if os.path.exists(OUT):
-        with open(OUT, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes,
-                                  "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
-                                  "host_reference_s": host_ref, "host_scale": scale}
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    return facts, layers, outputs
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.exit(harness.main(__doc__, "BENCH_requests.json", "ms",
+                              {name: lambda n=name: shape(n, tmp) for name in SHAPES}))

@@ -3,38 +3,29 @@
     python3 bench/rlb_dp.py --label after
     python3 bench/rlb_dp.py --label before --src OLD_CHECKOUT/src
 
-Each shape is solved REPEATS times against one fixed 301-price
-histogram and a 20-action grid; the median, the fastest and every time
-go into BENCH_rlb_dp.json under --label, beside the labels already
-there, with the facts of the machine that ran that label and a hash of
-the solved tables (equal hashes mean equal `value` and `policy`). --src
-picks the rtblab source tree to time, so an older checkout can be timed
-into the same file.
+Each shape is solved once per repeat (layer `solve`) against one fixed
+301-price histogram and a 20-action grid, into BENCH_rlb_dp.json under
+--label, with a hash of the solved tables (`tables_sha256`: the raw
+bytes of `value` then `policy`, so equal hashes mean equal tables). The
+options, the repeats and the host scaling are bench/harness.py's.
+`before` and `after` were recorded before the harness: each holds one
+time per shape as a number where later labels hold a dict by layer,
+hashes only its last repeat and has no host reference or shape name.
 """
 
-import os
+import hashlib
 import sys
+import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_rlb_dp.json")
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from run import machine_facts  # noqa: E402  (fixes the BLAS threads before numpy loads)
+import harness
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np  # after harness, which fixes the BLAS threads
 
 # (horizon T, budget grid B): the benchmark's train-agents solve, and a
 # longer horizon on a smaller budget grid
 SHAPES = ((30, 8828), (200, 2000))
 N_PRICES = 301
 N_ACTIONS = 20
-REPEATS = 5
 
 
 def histogram_and_grid():
@@ -47,43 +38,25 @@ def histogram_and_grid():
             ActionGrid.from_max_price(N_PRICES - 1, N_ACTIONS))
 
 
-def time_shape(m, grid, T, B) -> dict:
+def shape(T, B):
     from rtblab.agents import rlb_dp_solve
 
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        tables = rlb_dp_solve(m, T, B, grid)
-        times.append(time.perf_counter() - start)
-    digest = hashlib.sha256(tables.value.tobytes() + tables.policy.tobytes()).hexdigest()
-    return {"T": T, "B": B, "D": int(m.probs.size), "k": len(grid), "repeats": REPEATS,
-            "median_s": statistics.median(times), "min_s": min(times), "times_s": times,
-            "tables_sha256": digest}
-
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--label", required=True)
-    p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    args = p.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-
     m, grid = histogram_and_grid()
-    shapes = [time_shape(m, grid, T, B) for T, B in SHAPES]
-    for s in shapes:
-        print(f"{args.label}: T={s['T']} B={s['B']} D={s['D']} k={s['k']}  "
-              f"median {s['median_s']:.3f} s  min {s['min_s']:.3f} s")
+    solved = {}
 
-    result = {"runs": {}}
-    if os.path.exists(OUT):
-        with open(OUT, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes}
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    def solve():
+        start = time.perf_counter()
+        solved["tables"] = rlb_dp_solve(m, T, B, grid)
+        return time.perf_counter() - start
+
+    def outputs():
+        t = solved["tables"]
+        digest = hashlib.sha256(t.value.tobytes() + t.policy.tobytes())
+        return {"tables_sha256": digest.hexdigest()}
+
+    return {"T": T, "B": B, "D": int(m.probs.size), "k": len(grid)}, {"solve": solve}, outputs
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_rlb_dp.json", "s",
+                          {f"T={T} B={B}": lambda T=T, B=B: shape(T, B) for T, B in SHAPES}))

@@ -21,21 +21,16 @@ criterion 4's (the 3 + 4 category toy market; batch 256, hidden
   recorded generator pass an iteration makes over its k critic batches
   and its generator batch (k = 5 critic steps).
 
-Every layer time is the median over REPEATS repeats of the mean of CALLS
-calls. Before each repeat the script reads perfbench's `host_reference()`,
-a fixed loop of small numpy calls; `scaled_median_ms` multiplies each
-median by HOST_REF_QUIET_S over the loop's fastest time in the run, so
-labels timed while the host ran slower or faster compare. The times,
-with the facts of the machine that ran them and a hash of the outputs
-(the trained nets and one critic step's gradients), go into
-BENCH_wgan_iter.json under --label, beside the labels already there
-(labels before `host-scaled` have no scaled medians). Every repeat of
-a shape must give the same hash. --src picks the rtblab source tree to
-time, so another checkout whose requests are PackedRequests batches and
-whose nets and gradients are one flat vector each can be timed into the
-same file. Those vectors hold each layer's w and b in layer order, so
-the hash equals that of the labels before `flat-params`, recorded from
-trees that kept per-layer arrays, which this script no longer drives.
+Every layer but the iteration is the mean of CALLS calls. The options,
+the repeats, the host scaling and the file, BENCH_wgan_iter.json, are
+bench/harness.py's. `outputs_sha256` hashes the trained nets and one
+critic step's gradients; every repeat of a shape must give the same
+one. Labels before `host-scaled` have no scaled medians. --src can
+time another checkout whose requests are PackedRequests batches and
+whose nets and gradients are one flat vector each. Those vectors hold
+each layer's w and b in layer order, so the hash equals that of the
+labels before `flat-params`, recorded from trees that kept per-layer
+arrays, which this script no longer drives.
 The layer inputs are made in the nets' dtype. `parent-float64` and
 `float32` were recorded together: `parent-float64` from the tree before
 `float32`, whose market-state nets are float64 (its hashes equal
@@ -49,26 +44,12 @@ steps. That draw order changes the trained nets, so `one-pass`'s
 hashes differ from every earlier label's.
 """
 
-import os
 import sys
+import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_wgan_iter.json")
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from run import (  # noqa: E402  (fixes the BLAS threads before numpy loads)
-    HOST_REF_QUIET_S,
-    host_reference,
-    machine_facts,
-)
+import harness
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np  # after harness, which fixes the BLAS threads
 
 # name -> (categories per field, batch, generator and critic hidden, z dim)
 SHAPES = {
@@ -79,7 +60,6 @@ SHAPES = {
 N_REQUESTS = 3600
 ITERS = 20
 CALLS = 20
-REPEATS = 5
 
 
 def corpus(field_dims, fdict, g):
@@ -95,21 +75,7 @@ def corpus(field_dims, fdict, g):
     return PackedRequests.from_rows(rows, fdict.width)
 
 
-def per_call(fn) -> float:
-    start = time.perf_counter()
-    for _ in range(CALLS):
-        fn()
-    return (time.perf_counter() - start) / CALLS
-
-
-def digest(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-def time_shape(name, field_dims, batch, hidden, z_dim, host_ref) -> dict:
+def shape(field_dims, batch, hidden, z_dim):
     from rtblab.autodiff import gradient_penalty, mlp_backward, mlp_forward
     from rtblab.market_state import (WganConfig, build_critic, build_generator,
                                      critic_loss, generator_forward,
@@ -141,74 +107,37 @@ def time_shape(name, field_dims, batch, hidden, z_dim, host_ref) -> dict:
     rows = (cfg.critic_steps + 1) * batch
     z_pass = g.standard_normal((rows, z_dim))
     noise_pass = gumbel(g, (rows, fdict.width)).astype(dtype)
+    trained = {}
 
     def train_once():
         out = train_market_state_model(train, val, fdict, cfg, stream(1, "bench", "train"))
         return [out[0].net.params, out[1].params]
 
+    def wgan_iter():
+        start = time.perf_counter()
+        trained["nets"] = train_once()
+        return (time.perf_counter() - start) / ITERS
+
     def critic_step():
         return critic_loss(critic, real, fake, cfg.gp_lambda, stream(1, "bench", "gp"))[1]
 
     layers = {
-        "critic_loss": critic_step,
-        "mlp_forward": lambda: mlp_forward(critic, real, record=True),
-        "mlp_backward": lambda: mlp_backward(trace, ones),
-        "gradient_penalty": lambda: gradient_penalty(critic, x_hat),
-        "generator_forward": lambda: generator_forward(gen, z, cfg.tau, noise),
-        "generator_pass": lambda: generator_forward(gen, z_pass, cfg.tau, noise_pass,
-                                                    record=True),
+        "wgan_iter": wgan_iter,
+        "critic_loss": harness.timer(critic_step, CALLS),
+        "mlp_forward": harness.timer(lambda: mlp_forward(critic, real, record=True), CALLS),
+        "mlp_backward": harness.timer(lambda: mlp_backward(trace, ones), CALLS),
+        "gradient_penalty": harness.timer(lambda: gradient_penalty(critic, x_hat), CALLS),
+        "generator_forward": harness.timer(lambda: generator_forward(gen, z, cfg.tau, noise),
+                                           CALLS),
+        "generator_pass": harness.timer(
+            lambda: generator_forward(gen, z_pass, cfg.tau, noise_pass, record=True), CALLS),
     }
-    times = {"wgan_iter": []}
-    times.update({k: [] for k in layers})
-    hashes = set()
-    for _ in range(REPEATS):
-        host_ref.append(host_reference())
-        start = time.perf_counter()
-        nets = train_once()
-        times["wgan_iter"].append((time.perf_counter() - start) / ITERS)
-        hashes.add(digest(nets + [critic_step()]))
-        for k, fn in layers.items():
-            times[k].append(per_call(fn))
-    if len(hashes) != 1:
-        raise SystemExit(f"{name}: repeats gave different outputs")
-    return {
-        "name": name, "width": fdict.width, "fields": len(field_dims), "batch": batch,
-        "hidden": list(hidden), "z_dim": z_dim, "iters": ITERS, "calls": CALLS,
-        "repeats": REPEATS, "outputs_sha256": hashes.pop(),
-        "median_ms": {k: 1e3 * statistics.median(v) for k, v in times.items()},
-        "min_ms": {k: 1e3 * min(v) for k, v in times.items()},
-        "times_ms": {k: [1e3 * x for x in v] for k, v in times.items()},
-    }
-
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--label", required=True)
-    p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    args = p.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-
-    host_ref = []
-    shapes = [time_shape(name, *spec, host_ref) for name, spec in SHAPES.items()]
-    scale = HOST_REF_QUIET_S / min(host_ref)
-    for s in shapes:
-        s["scaled_median_ms"] = {k: v * scale for k, v in s["median_ms"].items()}
-        cells = "  ".join(f"{k} {v:.3f} ({s['scaled_median_ms'][k]:.3f})"
-                          for k, v in s["median_ms"].items())
-        print(f"{args.label}: {s['name']} median ms (host-scaled) {cells}")
-    print(f"{args.label}: host reference {min(host_ref):.4f} s, scale {scale:.3f}")
-
-    result = {"runs": {}}
-    if os.path.exists(OUT):
-        with open(OUT, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-    result["runs"][args.label] = {"machine": machine_facts(), "shapes": shapes,
-                                  "host_reference_s": host_ref, "host_scale": scale}
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    facts = {"width": fdict.width, "fields": len(field_dims), "batch": batch,
+             "hidden": list(hidden), "z_dim": z_dim, "iters": ITERS, "calls": CALLS}
+    return facts, layers, lambda: {
+        "outputs_sha256": harness.digest(trained["nets"] + [critic_step()])}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "BENCH_wgan_iter.json", "ms",
+                          {name: lambda s=spec: shape(*s) for name, spec in SHAPES.items()}))

@@ -38,7 +38,7 @@ def rlb_dp_solve(m: PriceHistogram, horizon: int, max_budget: int,
     once. No budget b <= B pays a price above B, so the sweep ends there.
     """
     probs = m.probs
-    if probs.size == 0 or abs(probs.sum() - 1.0) > 1e-9:
+    if probs.size == 0 or not abs(probs.sum() - 1.0) <= 1e-9:   # NaN fails too
         raise ConfigError("price histogram must be normalized")
     T, B = int(horizon), int(max_budget)
     k = len(grid)

@@ -559,15 +559,18 @@ class SampleSet:
                        else np.zeros(0, np.int64))
             if indices.size != sum(counts):
                 raise ValueError("unreadable request indices")
+            width = int(header[2])
+            if indices.size and (indices.min() < 0 or indices.max() >= width):
+                raise DataError(f"{path}: a request index lies outside [0, {width})")
             return cls(
-                PackedRequests(indices, int(header[2]), counts),
+                PackedRequests(indices, width, counts),
                 np.fromiter(map(float, bids), np.float64, n),
                 np.fromiter((float(p) if p else float("nan") for p in prices),
                             np.float64, n),
                 np.array(wins) == "1",
                 np.array(clicks) == "1",
                 np.fromiter(map(int, ts), np.int64, n),
-                int(header[2]),
+                width,
             )
         except ValueError as exc:
             raise DataError(f"{path}: malformed sample file: {exc}") from exc
@@ -642,7 +645,12 @@ class PriceHistogram:
         except ValueError as exc:
             raise DataError(f"{path}:{len(probs) + 1}: malformed histogram row: "
                             f"{exc}") from exc
-        return cls(np.array(probs))
+        probs = np.array(probs)
+        bad = np.flatnonzero(~(np.isfinite(probs) & (probs >= 0.0)))
+        if bad.size:
+            raise DataError(f"{path}:{bad[0] + 1}: probability {probs[bad[0]]!r} is not "
+                            f"a finite non-negative number")
+        return cls(probs)
 
 
 def kl_divergence(p: PriceHistogram, q: PriceHistogram, smoothing: float = 1e-6) -> float:
@@ -689,10 +697,19 @@ class DatasetStats:
         except OSError as exc:
             raise DataError(f"cannot read dataset stats {path}: {exc}") from exc
         try:
-            return cls(int(kv["n"]), int(kv["d"]), float(kv["impression_rate"]),
-                       float(kv["cpm"]), histogram)
+            stats = cls(int(kv["n"]), int(kv["d"]), float(kv["impression_rate"]),
+                        float(kv["cpm"]), histogram)
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}: missing or malformed entry {exc}") from exc
+        if stats.n < 0 or stats.d < 0:
+            raise DataError(f"{path}: n and d must be non-negative")
+        if not 0.0 <= stats.impression_rate <= 1.0:
+            raise DataError(f"{path}: impression_rate {stats.impression_rate!r} lies "
+                            f"outside [0, 1]")
+        if not 0.0 <= stats.cpm < math.inf:
+            raise DataError(f"{path}: cpm {stats.cpm!r} is not a finite non-negative "
+                            f"number")
+        return stats
 
 
 class PackedRequests:

@@ -807,6 +807,49 @@ class TestCliPipeline:
         assert cli_main(["stats", str(data)]) == 3
         assert "hist_train.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", [lambda width: -1, lambda width: width + 5],
+                             ids=["-1", "width+5"])
+    def test_train_price_on_a_request_index_outside_the_width_exits_3(
+            self, workdir, tmp_path, capsys, index):
+        # -1 once died in bincount and width + 5 with an IndexError
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        path = data / "train.samples"
+        header, first, rest = path.read_text().split("\n", 2)
+        cells = first.split("\t")
+        width = int(header.split()[2])
+        cells[5] = ",".join([str(index(width)), *cells[5].split(",")[1:]])
+        path.write_text("\n".join([header, "\t".join(cells), rest]))
+        out = tmp_path / "price.ckpt"
+        assert cli_main(["train-price", str(data), "--split", "train", "--out", str(out)]
+                        + QUICK_SETS) == 3
+        assert "train.samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,line", [
+        ("stats_train.txt", "cpm = nan"), ("stats_train.txt", "cpm = -1.0"),
+        ("stats_train.txt", "cpm = inf"), ("stats_train.txt", "impression_rate = 1.5"),
+        ("stats_train.txt", "impression_rate = nan"), ("stats_train.txt", "n = -4"),
+        ("stats_train.txt", "d = -1"), ("hist_train.tsv", "0\tnan"),
+        ("hist_train.tsv", "0\t-0.25"), ("hist_train.tsv", "0\tinf")])
+    def test_solve_rlb_on_an_out_of_domain_stats_or_histogram_value_exits_3(
+            self, workdir, tmp_path, capsys, name, line):
+        # cpm = nan once died converting NaN to an integer, and a nan
+        # histogram row solved and wrote a checkpoint
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        sep = "\t" if name.endswith(".tsv") else " = "
+        key = line.split(sep)[0] + sep
+        lines = (data / name).read_text().splitlines()
+        at = next(i for i, old in enumerate(lines) if old.startswith(key))
+        lines[at] = line
+        (data / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rlb.ckpt"
+        assert cli_main(["solve-rlb", "--data", str(data), "--out", str(out)]
+                        + QUICK_SETS) == 3
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthSpecErrors:
     def synth(self, tmp_path, text):

@@ -110,6 +110,12 @@ class TestDpSolve:
             rlb_dp_solve(PriceHistogram(np.array([0.5, 0.4])), 2, 3,
                          ActionGrid([1.0, 2.0]))
 
+    def test_nan_histogram_raises(self):
+        # abs(nan - 1) > 1e-9 is False, so the check must be written to fail on NaN
+        with pytest.raises(ConfigError):
+            rlb_dp_solve(PriceHistogram(np.array([0.5, np.nan])), 2, 3,
+                         ActionGrid([1.0, 2.0]))
+
     def test_matches_literal_policy_enumeration(self):
         # micro instances small enough to enumerate every policy
         m = PriceHistogram(np.array([0.2, 0.5, 0.3]))
