@@ -76,10 +76,11 @@ class QNetwork:
 
 def _batch_input(qnet: QNetwork, packed: PackedRequests, b_norm, t_norm):
     """The trunk's (n, 3) input [bottleneck, budget, time] in the net's dtype."""
-    dtype = qnet.params.dtype
-    h1 = packed.dot(qnet.f1_w) + qnet.f1_b[0]
-    return np.column_stack([h1.astype(dtype, copy=False), np.asarray(b_norm, dtype=dtype),
-                            np.asarray(t_norm, dtype=dtype)])
+    x = np.empty((len(packed), 3), qnet.params.dtype)
+    x[:, 0] = packed.dot(qnet.f1_w) + qnet.f1_b[0]
+    x[:, 1] = b_norm
+    x[:, 2] = t_norm
+    return x
 
 
 def q_forward(qnet: QNetwork, packed: PackedRequests, b_norm, t_norm,

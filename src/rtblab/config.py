@@ -132,7 +132,7 @@ def load_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 k, _, v = line.partition("=")
                 out[k.strip()] = v.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return out
 

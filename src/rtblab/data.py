@@ -14,6 +14,18 @@ one per field; the usertag block is the single exception, where every
 tag is its own binary feature. Requests travel as PackedRequests
 batches, from the sample file to the replay: one CSR layout whose `dot`
 sums each row the same way in every batch.
+
+Every TSV file has one reader and one writer. parse_log and
+SampleSet.load read CHUNK_CHARS of lines at a time and parse each chunk
+as columns with _parse_rows, one cell parser per column type; write_tsv
+writes the synthetic log, the sample files and the price histograms a
+chunk at a time, one formatter per type. The cell rules: the timestamp fits in int64, the
+bid is finite and >= 0, a price is empty or finite and >= 0, a flag is 0
+or 1, and a won row has a price no higher than its bid. Ingest skips
+and counts a line that breaks a rule or has another number of cells
+than the schema, and ignores empty lines; SampleSet.load refuses, as a
+DataError, a file with any such line or an empty one, a bad header, no
+rows, or a request index outside the width.
 """
 
 import math
@@ -78,6 +90,11 @@ DEFAULT_SCHEMA = (
     ("click", "flag"),
 )
 
+# a sample file's columns, under the log's names, after its header line
+# `samples 1 WIDTH`: the request is its active indices, comma-joined
+_SAMPLE_SCHEMA = (("timestamp", "int"), ("win", "flag"), ("click", "flag"),
+                  ("bid_price", "float"), ("pay_price", "price"), ("indices", "str"))
+
 _VALID_COLUMN_TYPES = {"int", "float", "str", "tags", "price", "flag"}
 _REQUIRED_TYPES = dict(DEFAULT_SCHEMA)
 
@@ -97,7 +114,7 @@ def load_schema(path) -> tuple:
                 if typ not in _VALID_COLUMN_TYPES:
                     raise ConfigError(f"unknown column type {typ!r} in schema {path}")
                 cols.append((name, typ))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read schema file {path}: {exc}") from exc
     types = dict(cols)
     missing = _REQUIRED_TYPES.keys() - types.keys()
@@ -117,7 +134,13 @@ def save_schema(path, schema=DEFAULT_SCHEMA) -> None:
 
 
 def _price(raw: str) -> float:
-    return float(raw) if raw != "" else float("nan")
+    """Empty (censored: nan) or a finite number >= 0."""
+    if raw == "":
+        return math.nan
+    v = float(raw)
+    if 0.0 <= v < math.inf:
+        return v
+    raise ValueError(f"price {raw!r} is not a finite number >= 0")
 
 
 # the cell parser of each column type that can refuse a cell (a flag
@@ -125,14 +148,22 @@ def _price(raw: str) -> float:
 _CELL_PARSERS = {"int": int, "float": float, "price": _price,
                  "flag": {"0": False, "1": True}.__getitem__}
 _REFUSED = (ValueError, TypeError, KeyError)
+# the formatter of each column type that a writer formats from an array:
+# the text its cell parser reads back as the same value
+_CELL_FORMATTERS = {
+    "int": lambda v: map(str, v.tolist()),
+    "float": lambda v: map(repr, v.tolist()),
+    "price": lambda v: ["" if math.isnan(p) else repr(p) for p in v.tolist()],
+    "flag": lambda v: map(str, v.view(np.uint8).tolist()),
+}
 
 
 def _parse_column(cells, parse) -> tuple:
     """(values, bad): parse mapped over a column, and the rows whose cell
-    it refused (None when it refused none). The column is parsed cell by
-    cell only after the one map has raised."""
+    it refused, which hold 0. The column is parsed cell by cell only
+    after the one map has raised."""
     try:
-        return list(map(parse, cells)), None
+        return list(map(parse, cells)), []
     except _REFUSED:
         pass
     values, bad = [], []
@@ -140,7 +171,7 @@ def _parse_column(cells, parse) -> tuple:
         try:
             values.append(parse(cell))
         except _REFUSED:
-            values.append(None)
+            values.append(0)
             bad.append(i)
     return values, bad
 
@@ -152,14 +183,9 @@ def _bin_dimension(v: int) -> str:
     return f">{DIM_BINS[-1]}"
 
 
-def _os_of(user_agent: str):
-    ua = user_agent.lower()
-    return next((o for o in OSES if o in ua), None)
-
-
-def _browser_of(user_agent: str):
-    ua = user_agent.lower()
-    return next((b for b in BROWSERS if b in ua), None)
+def _first_of(names):
+    """The map from a user agent to the first of names it holds, or None."""
+    return lambda user_agent: next((n for n in names if n in user_agent.lower()), None)
 
 
 def _tags_of(raw: str) -> list:
@@ -203,7 +229,15 @@ class _FieldCoder:
         self.parts.append(np.fromiter(codes, np.int64))
 
     def codes(self) -> np.ndarray:
-        return np.concatenate([np.zeros(0, np.int64), *self.parts])
+        return _joined(self.parts, np.int64)
+
+
+def _joined(parts: list, dtype) -> np.ndarray:
+    """The chunk arrays of parts as one array; empties parts, so a column's
+    chunks are freed as soon as it is joined."""
+    out = np.concatenate([np.zeros(0, dtype), *parts])
+    parts.clear()
+    return out
 
 
 @dataclass
@@ -237,8 +271,8 @@ class ParsedLog:
 _FIELD_SOURCES = {
     "weekday": ("weekday", str),
     "hour": ("hour", str),
-    "os": ("user_agent", _os_of),
-    "browser": ("user_agent", _browser_of),
+    "os": ("user_agent", _first_of(OSES)),
+    "browser": ("user_agent", _first_of(BROWSERS)),
     "region": ("region", None),
     "city": ("city", None),
     "ad_exchange": ("ad_exchange", None),
@@ -279,50 +313,89 @@ class _LogColumns:
     def log(self) -> ParsedLog:
         cats = {f: list(coder.index) for f, coder in self.coders.items()}
         codes = {f: coder.codes() for f, coder in self.coders.items()}
-        tags = np.concatenate([np.zeros(0, np.int64), *self.coders[TAG_FIELD].counts])
-        num = {key: np.concatenate([np.zeros(0, dtype), *self.numeric[key]])
-               for key, _, dtype in _NUMERIC}
+        tags = _joined(self.coders[TAG_FIELD].counts, np.int64)
+        num = {key: _joined(self.numeric[key], dtype) for key, _, dtype in _NUMERIC}
         return ParsedLog(cats, codes, np.concatenate([[0], np.cumsum(tags)]),
                          **num)
 
 
-def _parse_lines(lines, names, parsers, out: _LogColumns) -> int:
-    """Parse one chunk of non-empty lines into out; returns how many of
-    them it skipped: those with another number of cells than the schema
-    has columns, a cell a parser refuses, or a won price above the bid."""
+def _parse_rows(lines, schema) -> tuple:
+    """Parse one chunk of lines as schema's columns: (col, kept), where
+    col maps each column name to the kept rows' values, the typed ones
+    parsed and the numeric ones (_NUMERIC) arrays, and kept marks the
+    lines kept. A line is refused when it has another number of cells
+    than the schema has columns, a cell its type's parser refuses, a
+    timestamp beyond int64, a bid that is not finite and >= 0, or a won
+    price that is missing or above the bid."""
+    names = [n for n, _ in schema]
     rows = [line.split("\t") for line in lines]
-    rows = [r for r in rows if len(r) == len(names)]
-    if not rows:
-        return len(lines)
-    cells = list(zip(*rows))
+    kept = np.fromiter(map(len, rows), np.int64, len(rows)) == len(names)
+    if not kept.all():
+        rows = list(compress(rows, kept))
+    cells = list(zip(*rows)) or [()] * len(names)
     ok = np.ones(len(rows), dtype=bool)
-    for i, parse in parsers:
-        cells[i], bad = _parse_column(cells[i], parse)
-        if bad:
+    for i, (_, typ) in enumerate(schema):
+        if typ in _CELL_PARSERS:
+            cells[i], bad = _parse_column(cells[i], _CELL_PARSERS[typ])
             ok[bad] = False
     col = dict(zip(names, cells))   # a repeated name keeps its last column
-    if not ok.all():
-        col = {name: list(compress(v, ok)) for name, v in col.items()}
     for _, name, dtype in _NUMERIC:
-        col[name] = np.array(col[name], dtype)
-    # a won price above the bid violates second-price accounting
-    price = col["pay_price"]
-    keep = ~(col["win"] & ~np.isnan(price) & (price > col["bid_price"]))
-    if not keep.all():
-        col = {name: v[keep] if isinstance(v, np.ndarray) else list(compress(v, keep))
+        try:
+            col[name] = np.array(col[name], dtype)
+        except OverflowError:   # a timestamp beyond int64 refuses its row
+            fits = [-(1 << 63) <= t < 1 << 63 for t in col[name]]
+            ok &= fits
+            col[name] = np.array([t if f else 0 for t, f in zip(col[name], fits)], dtype)
+    # a bid is finite and >= 0, and by second-price accounting a won
+    # auction's price is known and at most the bid
+    bid = col["bid_price"]
+    ok &= (0.0 <= bid) & (bid < math.inf) & (~col["win"] | (col["pay_price"] <= bid))
+    if not ok.all():
+        col = {name: v[ok] if isinstance(v, np.ndarray) else list(compress(v, ok))
                for name, v in col.items()}
-    out.add(col)
-    return len(lines) - int(np.count_nonzero(keep))
+        kept[kept] = ok
+    return col, kept
 
 
-def _line_chunks(fh):
-    """Lists of the non-empty lines of fh, about CHUNK_CHARS of text each."""
+def _line_chunks(path, what: str):
+    """Lists of the lines of a UTF-8 file, about CHUNK_CHARS of text each;
+    DataError when it cannot be read or decoded."""
     carry = ""
-    for text in iter(lambda: fh.read(CHUNK_CHARS), ""):
-        head, _, carry = (carry + text).rpartition("\n")
-        yield [line for line in head.split("\n") if line]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for text in iter(lambda: fh.read(CHUNK_CHARS), ""):
+                head, sep, carry = (carry + text).rpartition("\n")
+                if sep:
+                    yield head.split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     if carry:
         yield [carry]
+
+
+def write_tsv(path, n: int, schema, columns, header: str = "") -> None:
+    """Write header, then n lines of schema's columns, tab-separated, about
+    CHUNK_CHARS of text at a time. columns maps each column name to an
+    array, formatted by the column's type; to a function of (lo, hi) that
+    gives the cells of rows lo to hi - 1; or to the one cell every row
+    holds."""
+    def cells(value, typ, lo, hi):
+        if isinstance(value, str):
+            return repeat(value, hi - lo)
+        return value(lo, hi) if callable(value) else _CELL_FORMATTERS[typ](value[lo:hi])
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        lo, step = 0, 256
+        while lo < n:
+            hi = min(n, lo + step)
+            text = "\n".join(map("\t".join, zip(*(cells(columns[name], typ, lo, hi)
+                                                   for name, typ in schema))))
+            fh.write(text)
+            fh.write("\n")
+            # the rows that make about CHUNK_CHARS at this chunk's line length
+            step = max(1, (hi - lo) * CHUNK_CHARS // max(len(text), 1))
+            lo = hi
 
 
 def parse_log(path, schema=DEFAULT_SCHEMA) -> tuple:
@@ -331,24 +404,18 @@ def parse_log(path, schema=DEFAULT_SCHEMA) -> tuple:
     The log is read CHUNK_CHARS at a time, and each chunk is parsed as
     columns: every line split once, each column parsed with one map, each
     field's categories derived once per distinct value. Empty lines are
-    ignored; malformed lines are skipped and counted, and more than 10%
-    malformed aborts (that usually means the schema does not match the
-    file).
+    ignored; a line _parse_rows refuses is skipped and counted, and more
+    than 10% skipped aborts (that usually means the schema does not match
+    the file).
     """
-    names = [n for n, _ in schema]
-    types = dict(schema)
-    parsers = [(i, _CELL_PARSERS[types[n]]) for i, n in enumerate(names)
-               if types[n] in _CELL_PARSERS]
     out = _LogColumns()
     skipped, total = 0, 0
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read log {path}: {exc}") from exc
-    with fh:
-        for lines in _line_chunks(fh):
-            total += len(lines)
-            skipped += _parse_lines(lines, names, parsers, out)
+    for lines in _line_chunks(path, "log"):
+        lines = list(filter(None, lines))
+        col, kept = _parse_rows(lines, schema)
+        out.add(col)
+        total += len(lines)
+        skipped += len(lines) - int(np.count_nonzero(kept))
     # the wrong-schema heuristic needs enough lines to mean anything
     if total >= 20 and skipped > 0.10 * total:
         raise DataError(
@@ -407,11 +474,8 @@ class FeatureDict:
 
     @classmethod
     def load(cls, path) -> "FeatureDict":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise DataError(f"cannot read feature dictionary {path}: {exc}") from exc
+        # "\n" alone ends a line: a category may hold any other line break
+        lines = list(chain.from_iterable(_line_chunks(path, "feature dictionary")))
         if not lines or not lines[0].startswith("featuredict"):
             raise DataError(f"{path} is not a feature dictionary file")
         try:
@@ -420,12 +484,14 @@ class FeatureDict:
             i = 2
             while i < len(lines):
                 tag, name, n = lines[i].split()
-                if tag != "field":
+                if tag != "field" or not n.isdecimal() or name in maps:
                     raise DataError(f"{path}: bad dictionary line {lines[i]!r}")
-                n = int(n)
-                maps[name] = {lines[i + 1 + j]: j for j in range(n)}
+                maps[name] = {c: j for j, c in enumerate(lines[i + 1 : i + 1 + int(n)])}
+                if len(maps[name]) != int(n):
+                    raise DataError(f"{path}: field {name} lists fewer than {n} "
+                                    f"distinct categories")
                 fields.append(name)
-                i += 1 + n
+                i += 1 + int(n)
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed feature dictionary: {exc}") from exc
         return cls(tuple(fields), maps, min_count)
@@ -466,6 +532,11 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.requests)
+
+    def log_columns(self) -> dict:
+        """The bid, price, win, click and timestamp arrays under their log
+        column names."""
+        return {name: getattr(self, key) for key, name, _ in _NUMERIC}
 
     def subset(self, idx) -> "SampleSet":
         idx = np.asarray(idx)
@@ -520,60 +591,61 @@ class SampleSet:
     def save(self, path) -> None:
         """One line per row: timestamp, win, click, bid (repr), price (repr,
         empty when censored) and the comma-joined indices, tab-separated."""
-        ptr = self.requests.ptr.tolist()
-        # format each distinct index once
-        uniq, inverse = np.unique(self.requests.indices, return_inverse=True)
-        tokens = list(map(list(map(str, uniq.tolist())).__getitem__, inverse.tolist()))
-        columns = zip(
-            map(str, self.timestamps.tolist()),
-            map(str, self.wins.view(np.uint8).tolist()),
-            map(str, self.clicks.view(np.uint8).tolist()),
-            map(repr, self.bids.tolist()),
-            ["" if math.isnan(p) else repr(p) for p in self.prices.tolist()],
-            [",".join(tokens[lo:hi]) for lo, hi in zip(ptr[:-1], ptr[1:])],
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"samples 1 {self.width}\n")
-            fh.writelines(map("".join, zip(map("\t".join, columns), repeat("\n"))))
+        ptr, idx = self.requests.ptr, self.requests.idx
+
+        def indices(lo, hi):
+            # format each distinct index of the chunk once
+            uniq, inverse = np.unique(idx[ptr[lo]:ptr[hi]], return_inverse=True)
+            tokens = list(map(list(map(str, uniq.tolist())).__getitem__, inverse.tolist()))
+            ends = (ptr[lo:hi + 1] - ptr[lo]).tolist()
+            return [",".join(tokens[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+
+        write_tsv(path, len(self), _SAMPLE_SCHEMA, {**self.log_columns(), "indices": indices},
+                  f"samples 1 {self.width}\n")
 
     @classmethod
     def load(cls, path) -> "SampleSet":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                header = fh.readline().split()
-                if len(header) != 3 or header[0] != "samples":
-                    raise DataError(f"{path} is not a sample file")
-                rows = [line.rstrip("\n").split("\t") for line in fh]
-        except OSError as exc:
-            raise DataError(f"cannot read samples {path}: {exc}") from exc
-        if any(len(r) != 6 for r in rows):
-            raise DataError(f"{path}: a sample line does not have 6 columns")
-        if not rows:
+        """Read a sample file; DataError if it refuses any line (see
+        _parse_rows), a request index lies outside the width, or the
+        header or the indices are malformed."""
+        chunks = _line_chunks(path, "samples")
+        lines = next(chunks, [""])
+        header = lines[0].split()
+        if len(header) != 3 or header[0] != "samples" or not header[2].isdecimal():
+            raise DataError(f"{path} is not a sample file")
+        width, lineno, parts = int(header[2]), 1, []
+        for lines in chain([lines[1:]], chunks):
+            col, kept = _parse_rows(lines, _SAMPLE_SCHEMA)
+            if not kept.all():
+                raise DataError(f"{path}:{lineno + 1 + int(np.argmin(kept))}: not a "
+                                f"sample line (see the cell rules of rtblab.data)")
+            try:
+                col["indices"], col["counts"] = _parse_indices(col["indices"])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno + 1} on: {exc}") from exc
+            parts.append(col)
+            lineno += len(lines)
+        if lineno == 1:
             raise DataError(f"{path} holds no samples")
-        ts, wins, clicks, bids, prices, idx = zip(*rows)
-        n = len(rows)
-        counts = [s.count(",") + 1 if s else 0 for s in idx]
-        active = ",".join(s for s in idx if s)
-        try:
-            indices = (np.fromstring(active, dtype=np.int64, sep=",") if active
-                       else np.zeros(0, np.int64))
-            if indices.size != sum(counts):
-                raise ValueError("unreadable request indices")
-            width = int(header[2])
-            if indices.size and (indices.min() < 0 or indices.max() >= width):
-                raise DataError(f"{path}: a request index lies outside [0, {width})")
-            return cls(
-                PackedRequests(indices, width, counts),
-                np.fromiter(map(float, bids), np.float64, n),
-                np.fromiter((float(p) if p else float("nan") for p in prices),
-                            np.float64, n),
-                np.array(wins) == "1",
-                np.array(clicks) == "1",
-                np.fromiter(map(int, ts), np.int64, n),
-                width,
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed sample file: {exc}") from exc
+        num = {key: _joined([p.pop(name) for p in parts], dtype)
+               for key, name, dtype in _NUMERIC}
+        indices, counts = (_joined([p.pop(name) for p in parts], np.int64)
+                           for name in ("indices", "counts"))
+        if indices.size and (indices.min() < 0 or indices.max() >= width):
+            raise DataError(f"{path}: a request index lies outside [0, {width})")
+        return cls(PackedRequests(indices, width, counts), width=width, **num)
+
+
+def _parse_indices(cells) -> tuple:
+    """(indices, counts): a chunk's comma-joined index cells as every row's
+    indices back to back and each row's count; ValueError when a cell is
+    not a list of integers."""
+    counts = np.fromiter((c.count(",") + 1 if c else 0 for c in cells), np.int64, len(cells))
+    active = ",".join(filter(None, cells))
+    indices = np.fromstring(active, np.int64, sep=",") if active else np.zeros(0, np.int64)
+    if indices.size != counts.sum():
+        raise ValueError("unreadable request indices")
+    return indices, counts
 
 
 def split_day_indices(timestamps_ms: np.ndarray, fractions=(0.60, 0.15, 0.25)) -> tuple:
@@ -628,28 +700,22 @@ class PriceHistogram:
         return cls(counts / counts.sum())
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for p, q in enumerate(self.probs):
-                fh.write(f"{p}\t{float(q)!r}\n")
+        write_tsv(path, self.probs.size, (("price", "int"), ("prob", "float")),
+                  {"price": np.arange(self.probs.size), "prob": self.probs})
 
     @classmethod
     def load(cls, path) -> "PriceHistogram":
         probs = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    _, q = line.split("\t")
-                    probs.append(float(q))
-        except OSError as exc:
-            raise DataError(f"cannot read price histogram {path}: {exc}") from exc
+            for line in chain.from_iterable(_line_chunks(path, "price histogram")):
+                _, q = line.split("\t")
+                probs.append(float(q))
         except ValueError as exc:
             raise DataError(f"{path}:{len(probs) + 1}: malformed histogram row: "
                             f"{exc}") from exc
         probs = np.array(probs)
-        bad = np.flatnonzero(~(np.isfinite(probs) & (probs >= 0.0)))
-        if bad.size:
-            raise DataError(f"{path}:{bad[0] + 1}: probability {probs[bad[0]]!r} is not "
-                            f"a finite non-negative number")
+        if probs.size and not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-9):
+            raise DataError(f"{path}: the probabilities are not numbers >= 0 that sum to 1")
         return cls(probs)
 
 
@@ -689,13 +755,9 @@ class DatasetStats:
     @classmethod
     def load(cls, path, histogram: PriceHistogram) -> "DatasetStats":
         kv = {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    k, _, v = line.partition("=")
-                    kv[k.strip()] = v.strip()
-        except OSError as exc:
-            raise DataError(f"cannot read dataset stats {path}: {exc}") from exc
+        for line in chain.from_iterable(_line_chunks(path, "dataset stats")):
+            k, _, v = line.partition("=")
+            kv[k.strip()] = v.strip()
         try:
             stats = cls(int(kv["n"]), int(kv["d"]), float(kv["impression_rate"]),
                         float(kv["cpm"]), histogram)
@@ -709,6 +771,11 @@ class DatasetStats:
         if not 0.0 <= stats.cpm < math.inf:
             raise DataError(f"{path}: cpm {stats.cpm!r} is not a finite non-negative "
                             f"number")
+        # each won price lies below the histogram's top price + 1
+        most = 1000.0 * stats.impression_rate * (histogram.max_price + 1)
+        if stats.cpm > most * (1.0 + 1e-9):
+            raise DataError(f"{path}: cpm {stats.cpm!r} exceeds {most!r}, the most the "
+                            f"impression rate and the price histogram allow")
         return stats
 
 

@@ -33,7 +33,7 @@ from .autodiff import (
     mlp_forward,
 )
 from .data import FeatureDict, PackedRequests
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .optim import AdamState, adam_step, make_mlp
 from .rng import gumbel
 
@@ -253,6 +253,9 @@ def train_market_state_model(train_pk: PackedRequests, val_pk: PackedRequests,
 
     Returns (generator, critic, diagnostics).
     """
+    if train_pk.width != fdict.width or val_pk.width != fdict.width:
+        raise DataError(f"request width {train_pk.width} (validation {val_pk.width}) "
+                        f"differs from the dictionary's {fdict.width}")
     n_train = len(train_pk)
 
     gen = build_generator(fdict, cfg, np.random.Generator(

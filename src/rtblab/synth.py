@@ -21,6 +21,7 @@ from .data import (
     PackedRequests,
     SampleSet,
     save_schema,
+    write_tsv,
 )
 from .errors import ConfigError
 from .market_action import ClickModel, PriceModel
@@ -143,45 +144,29 @@ def generate_synthetic_market(spec: SynthSpec, n: int, rng) -> SynthMarket:
 # synthetic fields are written into these raw-log columns so the standard
 # ingest pipeline (parse -> derive -> dictionary -> featurize) runs end to end
 _LOG_COLUMNS = ("region", "city", "ad_exchange", "domain", "slot_id")
+# the cells of the raw-log columns that hold one value in every row; the
+# synthetic fields overwrite the "na" of theirs
+_FIXED_CELLS = {"user_agent": "synthetic", "slot_visibility": "1", "slot_format": "fixed",
+                "slot_width": "300", "slot_height": "250", "user_tags": "",
+                **dict.fromkeys(_LOG_COLUMNS, "na")}
 
 
 def write_synthetic_log(market: SynthMarket, log_path, schema_path) -> None:
+    """Write the market's samples as a raw log in DEFAULT_SCHEMA; a won
+    price is PriceModel.draw's, so at least 0."""
     fdict = market.fdict
     if len(fdict.fields) > len(_LOG_COLUMNS):
         raise ConfigError(
             f"can export at most {len(_LOG_COLUMNS)} synthetic fields to a raw log"
         )
     s = market.samples
-    col_for_field = dict(zip(fdict.fields, _LOG_COLUMNS))
     # synthetic requests hold one index per field, in field order
     offsets = np.array([fdict.offset(f) for f in fdict.fields])
-    local = (s.requests.indices.reshape(len(s), -1) - offsets).tolist()
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for i in range(len(s)):
-            cats = {c: "na" for c in _LOG_COLUMNS}
-            for f, c in zip(fdict.fields, local[i]):
-                cats[col_for_field[f]] = f"c{c}"
-            price = s.prices[i]
-            pay = "" if np.isnan(price) else repr(max(float(price), 0.0))
-            row = {
-                "timestamp": str(int(s.timestamps[i])),
-                "user_agent": "synthetic",
-                "region": cats["region"],
-                "city": cats["city"],
-                "ad_exchange": cats["ad_exchange"],
-                "domain": cats["domain"],
-                "slot_id": cats["slot_id"],
-                "slot_visibility": "1",
-                "slot_format": "fixed",
-                "slot_width": "300",
-                "slot_height": "250",
-                "user_tags": "",
-                "bid_price": repr(float(s.bids[i])),
-                "pay_price": pay,
-                "win": "1" if s.wins[i] else "0",
-                "click": "1" if s.clicks[i] else "0",
-            }
-            fh.write("\t".join(row[name] for name, _ in DEFAULT_SCHEMA) + "\n")
+    local = s.requests.indices.reshape(len(s), -1) - offsets
+    columns = s.log_columns()
+    for i, name in enumerate(_LOG_COLUMNS[:len(fdict.fields)]):
+        columns[name] = lambda lo, hi, cats=local[:, i]: [f"c{c}" for c in cats[lo:hi].tolist()]
+    write_tsv(log_path, len(s), DEFAULT_SCHEMA, {**_FIXED_CELLS, **columns})
     save_schema(schema_path)
 
 

@@ -47,7 +47,7 @@ from rtblab.market_state import (
 from rtblab.mmd import mmd_benchmark
 from rtblab.optim import make_mlp
 from rtblab.rng import stream
-from rtblab.synth import SynthSpec, generate_synthetic_market
+from rtblab.synth import SynthSpec, generate_synthetic_market, write_synthetic_log
 
 
 def report(n, name, elapsed, budget):
@@ -445,19 +445,48 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
 IPINYOU_DIR = os.environ.get("RTBLAB_IPINYOU_2997", "")
 
 
+def dataset_spot_check(directory) -> tuple:
+    """Criterion 10's numbers for a directory holding train.tsv and test.tsv
+    in DEFAULT_SCHEMA: each split's DatasetStats (dictionary min_count 500)
+    and the KL divergence of train's price histogram from test's."""
+    sets = {}
+    for split in ("train", "test"):
+        records, _ = parse_log(os.path.join(directory, f"{split}.tsv"))
+        fdict = build_feature_dictionary(records, min_count=500)
+        sets[split] = dataset_statistics(SampleSet.from_records(records, fdict))
+    return sets, kl_divergence(sets["train"].histogram, sets["test"].histogram)
+
+
+def test_criterion_10_code_path_on_synthetic_logs(tmp_path):
+    # the gated check's numbers, on logs whose statistics are known
+    spec = SynthSpec(field_dims=(3, 2), mixture_weights=(1.0,),
+                     mixture_probs=(((0.5, 0.3, 0.2), (0.6, 0.4)),),
+                     price_mu=(((20.0, 0.0, -20.0), (5.0, 0.0)), 60.0),
+                     price_logsig=(((0.0,) * 3, (0.0,) * 2), 2.5),
+                     logging_bid=(30.0, 120.0))
+    direct = {}
+    for seed, split in enumerate(("train", "test")):
+        market = generate_synthetic_market(spec, 1500, stream(1010, "c10", seed))
+        write_synthetic_log(market, tmp_path / f"{split}.tsv", tmp_path / "schema.txt")
+        direct[split] = dataset_statistics(market.samples)
+    sets, kl = dataset_spot_check(tmp_path)
+    for split, want in direct.items():
+        got = sets[split]
+        assert (got.n, got.impression_rate, got.cpm) == (want.n, want.impression_rate,
+                                                         want.cpm)
+        assert np.array_equal(got.histogram.probs, want.histogram.probs)
+    assert 0.0 < sets["test"].impression_rate < 1.0
+    assert kl == kl_divergence(direct["train"].histogram, direct["test"].histogram)
+
+
 @pytest.mark.skipif(not IPINYOU_DIR, reason="set RTBLAB_IPINYOU_2997 to run")
 def test_criterion_10_ipinyou_dataset_gated():
     start = time.perf_counter()
-    sets = {}
-    for split in ("train", "test"):
-        records, _ = parse_log(os.path.join(IPINYOU_DIR, f"{split}.tsv"))
-        fdict = build_feature_dictionary(records, min_count=500)
-        sets[split] = dataset_statistics(SampleSet.from_records(records, fdict))
+    sets, kl = dataset_spot_check(IPINYOU_DIR)
     want = {"train": (0.359, 21.4), "test": (0.301, 19.0)}
     for split, (imp, cpm) in want.items():
         stats = sets[split]
         assert abs(stats.impression_rate - imp) / imp < 0.01
         assert abs(stats.cpm - cpm) / cpm < 0.01
-    kl = kl_divergence(sets["train"].histogram, sets["test"].histogram)
     assert abs(kl - 0.012) <= 0.005
     report(10, "ipinyou dataset spot check", time.perf_counter() - start, 600)

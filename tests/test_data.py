@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rtblab.data import (
+    CHUNK_CHARS,
     DEFAULT_SCHEMA,
     DatasetStats,
     FeatureDict,
@@ -235,9 +236,30 @@ class TestFeatureDictionary:
         assert loaded.maps == fdict.maps
         assert loaded.width == fdict.width
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\x0c", "\x85"])
+    def test_category_holding_another_line_break_round_trips(self, tmp_path, sep):
+        # only "\n" ends a dictionary line
+        records = [make_record(city=f"{i % 4}{sep}x") for i in range(400)]
+        fdict = build_feature_dictionary(as_log(records), min_count=50)
+        fdict.save(tmp_path / "dict.txt")
+        assert FeatureDict.load(tmp_path / "dict.txt").maps == fdict.maps
+
     def test_malformed_field_line_raises_data_error(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("featuredict 1\nmin_count 1\nfield city\n")
+        with pytest.raises(DataError, match="dict.txt"):
+            FeatureDict.load(path)
+
+    @pytest.mark.parametrize("fields", [
+        "field city -1\na\n", "field city 2\na\n", "field city 2\na\na\n",
+        "field city 1\na\nfield city 1\nb\n", "field city 1\na\nx city 1\nb\n",
+    ], ids=["negative count", "count past the end", "repeated category",
+            "repeated field", "not a field line"])
+    def test_bad_field_count_or_name_raises_data_error(self, tmp_path, fields):
+        # a negative count once looped for ever, and a repeated category
+        # or field once loaded into a dictionary narrower than its file
+        path = tmp_path / "dict.txt"
+        path.write_text("featuredict 1\nmin_count 1\n" + fields)
         with pytest.raises(DataError, match="dict.txt"):
             FeatureDict.load(path)
 
@@ -575,6 +597,67 @@ class TestPackedRequests:
         assert np.array_equal(packed.scatter(v), want)
 
 
+def reference_load(path) -> SampleSet:
+    """The sample-file loader that held every line as a list of cells
+    before it converted the columns, kept to check the chunked one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 3 or header[0] != "samples":
+                raise DataError(f"{path} is not a sample file")
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+    except OSError as exc:
+        raise DataError(f"cannot read samples {path}: {exc}") from exc
+    if any(len(r) != 6 for r in rows):
+        raise DataError(f"{path}: a sample line does not have 6 columns")
+    if not rows:
+        raise DataError(f"{path} holds no samples")
+    ts, wins, clicks, bids, prices, idx = zip(*rows)
+    n = len(rows)
+    counts = [s.count(",") + 1 if s else 0 for s in idx]
+    active = ",".join(s for s in idx if s)
+    try:
+        indices = (np.fromstring(active, dtype=np.int64, sep=",") if active
+                   else np.zeros(0, np.int64))
+        if indices.size != sum(counts):
+            raise ValueError("unreadable request indices")
+        width = int(header[2])
+        if indices.size and (indices.min() < 0 or indices.max() >= width):
+            raise DataError(f"{path}: a request index lies outside [0, {width})")
+        return SampleSet(
+            PackedRequests(indices, width, counts),
+            np.fromiter(map(float, bids), np.float64, n),
+            np.fromiter((float(p) if p else float("nan") for p in prices), np.float64, n),
+            np.array(wins) == "1",
+            np.array(clicks) == "1",
+            np.fromiter(map(int, ts), np.int64, n),
+            width,
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed sample file: {exc}") from exc
+
+
+def random_sample_set(rng, n, width=6) -> SampleSet:
+    """n rows of up to width indices each (empty rows too), bids with
+    repr-long digits, censored prices on lost rows and prices at most the
+    bid on won ones."""
+    rows = [sorted(rng.choice(width, size=rng.integers(0, width + 1), replace=False))
+            for _ in range(n)]
+    bids = rng.uniform(0.0, 300.0, n)
+    wins = rng.random(n) < 0.4
+    return SampleSet(PackedRequests.from_rows(rows, width), bids,
+                     np.where(wins, bids * rng.random(n), np.nan), wins,
+                     wins & (rng.random(n) < 0.3),
+                     rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64), width)
+
+
+def same_sets(a: SampleSet, b: SampleSet) -> bool:
+    """Bitwise-equal columns and requests."""
+    return a.width == b.width and a.requests == b.requests and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(a.log_columns().values(), b.log_columns().values()))
+
+
 class TestSampleFile:
     def ragged_set(self):
         rows = [[0, 2], [], [1], [0, 1, 3], [3]]
@@ -605,3 +688,56 @@ class TestSampleFile:
         path.write_text("samples 1 4\n0\t1\t0\t10.0\t4.0\t0,x\n")
         with pytest.raises(DataError):
             SampleSet.load(path)
+
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    def test_load_is_bitwise_the_reference_loader(self, tmp_path, n):
+        # 4000 ragged rows take several CHUNK_CHARS chunks
+        path = tmp_path / "s.samples"
+        random_sample_set(stream(41, "samples", n), n).save(path)
+        assert n < 4000 or path.stat().st_size > 3 * CHUNK_CHARS
+        assert same_sets(SampleSet.load(path), reference_load(path))
+
+    @pytest.mark.parametrize("text", [
+        "", "samples 1 4\n", "sample 1 4\n0\t1\t0\t10.0\t4.0\t0\n",
+        "samples 1\n0\t1\t0\t10.0\t4.0\t0\n", "samples 1 x\n0\t1\t0\t10.0\t4.0\t0\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\t0\n\n1\t0\t0\t10.0\t\t1\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\t0\n\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\t0\t\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\t0,4\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\t-1\n",
+        "samples 1 4\n0\t1\t0\t10.0\t4.0\t0,,1\n",
+    ], ids=["empty file", "no rows", "bad header word", "short header", "bad width",
+            "blank line", "blank last line", "five cells", "seven cells",
+            "index at the width", "negative index", "empty index"])
+    def test_files_the_reference_refuses_raise_data_error(self, tmp_path, text):
+        path = tmp_path / "s.samples"
+        path.write_text(text)
+        for load in (reference_load, SampleSet.load):
+            with pytest.raises(DataError):
+                load(path)
+
+    def test_one_byte_edit_loads_as_the_reference_or_raises(self, tmp_path):
+        # what the reference refuses, load refuses too; what load reads,
+        # the reference reads to the same arrays
+        path = tmp_path / "s.samples"
+        random_sample_set(stream(43, "samples"), 30).save(path)
+        raw = path.read_bytes()
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(st.sampled_from(["replace", "delete", "insert"]),
+               st.integers(0, len(raw) - 1), st.integers(0, 255))
+        def load_edited(edit, pos, byte):
+            cell = b"" if edit == "delete" else bytes([byte])
+            path.write_bytes(raw[:pos] + cell + raw[pos + (edit != "insert"):])
+            try:
+                want = reference_load(path)
+            except (DataError, ValueError, OverflowError):
+                want = None
+            try:
+                got = SampleSet.load(path)
+            except DataError:
+                return
+            assert want is not None and same_sets(got, want)
+
+        load_edited()

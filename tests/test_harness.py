@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -24,10 +25,10 @@ from rtblab.agents import (
     rlb_dp_solve,
 )
 from rtblab.agents.qnet import q_values
-from rtblab.cli import main as cli_main
+from rtblab.cli import build_parser, main as cli_main
 from rtblab.config import KEYS, Choice, Number, config_lines, effective_config
 from rtblab.autodiff import DenseLayer, DimensionError, Mlp
-from rtblab.data import PackedRequests, PriceHistogram, load_schema
+from rtblab.data import DEFAULT_SCHEMA, PackedRequests, PriceHistogram, SampleSet, load_schema
 from rtblab.errors import ConfigError, DataError
 from rtblab.evaluate import (
     ResultRow,
@@ -553,23 +554,10 @@ class TestConfig:
         assert lines == ["a = 1", "b = 2"]
 
 
-SYNTH_SPEC = """
-fields = 3,4
-mixture_weights = 0.5,0.5
-comp0_f0 = 0.8,0.15,0.05
-comp0_f1 = 0.7,0.1,0.1,0.1
-comp1_f0 = 0.05,0.15,0.8
-comp1_f1 = 0.1,0.1,0.1,0.7
-price_mu_f0 = 15,0,-10
-price_mu_intercept = 60
-price_logsig_intercept = 2.7
-click_f0 = 0.5,0,-0.5
-click_intercept = -2.5
-logging_bid = 40,110
-n = 4000
-days = 5
-seed = 3
-"""
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "examples")
+with open(os.path.join(EXAMPLES, "desk.spec"), encoding="utf-8") as fh:
+    SYNTH_SPEC = fh.read()
 
 
 @pytest.fixture(scope="module")
@@ -586,13 +574,7 @@ def workdir(tmp_path_factory):
     return root
 
 
-QUICK_SETS = ["--set", "t0=50", "--set", "repeats=3",
-              "--set", "fit_epochs=40", "--set", "rlb_horizon=25",
-              "--set", "wgan_iters=120", "--set", "wgan_batch=64",
-              "--set", "wgan_z_dim=8", "--set", "wgan_gen_hidden=16",
-              "--set", "wgan_critic_hidden=16", "--set", "wgan_lr=1e-3",
-              "--set", "fdqi_outer=2", "--set", "linbid_episodes=2",
-              "--set", "alphas=0.5,1,2"]
+QUICK_SETS = ["--config", os.path.join(EXAMPLES, "quick.cfg")]
 
 
 DOMAIN_CASES = ("wrong type", "out of domain", "empty")
@@ -849,6 +831,143 @@ class TestCliPipeline:
                         + QUICK_SETS) == 3
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+
+# sizes at which a command's work on valid data takes a few milliseconds
+TINY_SETS = ["--set", "fit_epochs=2", "--set", "fit_l2_grid=1e-2", "--set", "fit_lr_grid=0.3",
+             "--set", "wgan_iters=2", "--set", "wgan_batch=16", "--set", "wgan_z_dim=4",
+             "--set", "wgan_gen_hidden=4", "--set", "wgan_critic_hidden=4",
+             "--set", "wgan_critic_steps=1", "--set", "rlb_horizon=5"]
+
+
+# each cell rule broken in one row, by column; the sample file's columns
+# carry the log's names
+CELL_RULE_CASES = {
+    "nan bid": {"bid_price": "nan"},
+    "inf bid": {"bid_price": "inf"},
+    "negative price": {"pay_price": "-5.0"},
+    "win 2": {"win": "2"},
+    "won above the bid": {"win": "1", "bid_price": "10.0", "pay_price": "50.0"},
+    "timestamp beyond int64": {"timestamp": str(10**23)},
+    "won without a price": {"win": "1", "pay_price": ""},
+}
+SAMPLE_COLUMNS = ("timestamp", "win", "click", "bid_price", "pay_price", "indices")
+
+
+def edit_first_row(path, columns, edits, skip=0):
+    """Set the cells of the first row after skip lines of a TSV file."""
+    lines = path.read_text().split("\n")
+    cells = lines[skip].split("\t")
+    for name, cell in edits.items():
+        cells[columns.index(name)] = cell
+    lines[skip] = "\t".join(cells)
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("case", sorted(CELL_RULE_CASES))
+def test_sample_file_breaking_a_cell_rule_exits_3(workdir, tmp_path, capsys, case):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    edit_first_row(data / "train.samples", SAMPLE_COLUMNS, CELL_RULE_CASES[case], skip=1)
+    out = tmp_path / "price.ckpt"
+    assert cli_main(["train-price", str(data), "--split", "train", "--out", str(out)]
+                    + TINY_SETS) == 3
+    assert "train.samples:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(CELL_RULE_CASES))
+def test_log_line_breaking_a_cell_rule_is_skipped_and_counted(workdir, tmp_path, capsys,
+                                                              case):
+    log = tmp_path / "log.tsv"
+    shutil.copy(workdir / "raw" / "log.tsv", log)
+    names = [name for name, _ in DEFAULT_SCHEMA]
+    edit_first_row(log, names, CELL_RULE_CASES[case])
+    assert cli_main(["ingest", str(log), "--schema", str(workdir / "raw" / "schema.txt"),
+                     "--out", str(tmp_path / "data")]) == 0
+    assert "skipped 1 malformed lines" in capsys.readouterr().out
+    kept = sum(len(SampleSet.load(tmp_path / "data" / f"{split}.samples"))
+               for split in ("train", "val", "test"))
+    assert kept == len(log.read_text().splitlines()) - 1
+
+
+def test_train_market_on_samples_wider_than_the_dictionary_exits_3(workdir, tmp_path,
+                                                                      capsys):
+    # this once exited 2: "real and fake batches must share the feature width"
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    header, rest = (data / "train.samples").read_text().split("\n", 1)
+    width = int(header.split()[2])
+    (data / "train.samples").write_text(f"samples 1 {width + 1}\n{rest}")
+    out = tmp_path / "market.ckpt"
+    assert cli_main(["train-market", str(data), "--split", "train", "--out", str(out)]
+                    + TINY_SETS) == 3
+    assert f"request width {width + 1}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the commands that read each file of an ingested data directory
+PROBED = {
+    "train.samples": ("train-price", "train-market"),
+    "dict.txt": ("train-market",),
+    "stats_train.txt": ("stats", "solve-rlb"),
+    "hist_train.tsv": ("stats", "solve-rlb"),
+}
+
+
+def probe_argv(command, data, out):
+    """command run at tiny sizes on data, writing out."""
+    if command == "stats":
+        return ["stats", data]
+    if command == "solve-rlb":
+        return ["solve-rlb", "--data", data, "--out", out] + TINY_SETS
+    return [command, data, "--split", "train", "--out", out] + TINY_SETS
+
+
+@pytest.mark.filterwarnings("ignore:price fit")
+@pytest.mark.parametrize("name", sorted(PROBED))
+def test_one_byte_edit_of_a_data_file_exits_0_or_3(workdir, tmp_path, name):
+    # replace, delete or insert one byte, most often near the start where
+    # the header is: every command that reads the file runs or refuses it
+    # as a data error, and none raises
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    raw = (data / name).read_bytes()
+    out = str(tmp_path / "out.ckpt")
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["replace", "delete", "insert"]),
+           st.one_of(st.integers(0, min(60, len(raw) - 1)), st.integers(0, len(raw) - 1)),
+           st.integers(0, 255))
+    def run_edited(edit, pos, byte):
+        cell = b"" if edit == "delete" else bytes([byte])
+        (data / name).write_bytes(raw[:pos] + cell + raw[pos + (edit != "insert"):])
+        for command in PROBED[name]:
+            assert cli_main(probe_argv(command, str(data), out)) in (0, 3), command
+
+    run_edited()
+
+
+def quickstart_commands() -> list:
+    """The argv of every rtb command in README's quickstart block."""
+    with open(os.path.join(os.path.dirname(EXAMPLES), "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Quickstart", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("rtb ")]
+
+
+@pytest.mark.filterwarnings("ignore:price fit")
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    shutil.copytree(EXAMPLES, tmp_path / "examples")
+    monkeypatch.chdir(tmp_path)
+    commands = quickstart_commands()
+    assert commands[0] == ["synth", "examples/desk.spec", "--out", "raw"]
+    assert len(commands) == 14
+    for argv in commands:
+        # the commands with config keys take the quick sizes
+        takes_config = hasattr(build_parser().parse_args(argv), "config")
+        quick = ["--config", "examples/quick.cfg"] if takes_config else []
+        assert cli_main(argv + quick) == 0, argv
 
 
 class TestSynthSpecErrors:

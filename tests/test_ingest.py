@@ -57,14 +57,16 @@ class RawRecord:
 def parse_cell(raw, typ):
     if typ == "int":
         return int(raw)
-    if typ == "float":
-        return float(raw)
     if typ == "str":
         return raw
     if typ == "tags":
         return frozenset(t for t in raw.split(",") if t and t != "null")
-    if typ == "price":
-        return float(raw) if raw != "" else float("nan")
+    if typ == "price" and raw == "":
+        return float("nan")
+    if typ in ("float", "price"):
+        if not (math.isfinite(float(raw)) and float(raw) >= 0.0):
+            raise ValueError(f"{typ} cell must be finite and >= 0, got {raw!r}")
+        return float(raw)
     if raw not in ("0", "1"):
         raise ValueError(f"flag cell must be 0/1, got {raw!r}")
     return raw == "1"
@@ -89,7 +91,8 @@ def parse_records(path, schema):
             except (ValueError, TypeError):
                 skipped += 1
                 continue
-            if rec.win and not math.isnan(rec.pay_price) and rec.pay_price > rec.bid_price:
+            if not -2**63 <= rec.timestamp < 2**63 or (
+                    rec.win and not rec.pay_price <= rec.bid_price):    # nan: no price
                 skipped += 1
                 continue
             records.append(rec)
@@ -198,6 +201,13 @@ MALFORMED = {
     12: [(10, "99999")],
     13: [(13, ""), (14, "1")],              # won with no price
 }
+# row i with i % 97 == 15 breaks one of these cell rules in turn
+CELL_RULES = [
+    [(12, "nan")],                          # a bid that is not finite
+    [(12, "inf")],
+    [(13, "-5.0")],                         # a negative price
+    [(0, "99999999999999999999999")],       # a timestamp beyond int64
+]
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +227,8 @@ def logs(tmp_path_factory):
     for i, line in enumerate(lines[:-1]):
         cells = line.split("\t")
         edits = MALFORMED.get(i % 97, [])
+        if i % 97 == 15:
+            edits = CELL_RULES[i // 97 % len(CELL_RULES)]
         if edits is None:
             cells.pop()
         for col, cell in edits or []:
