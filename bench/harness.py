@@ -1,8 +1,8 @@
 """What every bench case shares: the command line, the repeat loop, the
 output-hash check, host scaling and the JSON file.
 
-A case module (rlb_dp.py, wgan_iter.py, requests.py, q_update.py) holds
-its constants, makes its inputs and ends in
+A case module (rlb_dp.py, wgan_iter.py, requests.py, q_update.py,
+footprint.py) holds its constants, makes its inputs and ends in
 
     sys.exit(harness.main(__doc__, "BENCH_<case>.json", unit, shapes))
 
@@ -15,7 +15,10 @@ outputs):
 - layers: layer name -> a timer, a callable that returns the layer's
   seconds per call. `timer(fn, calls)` makes the usual one, the mean of
   `calls` calls of fn; a case builds its own where setup must stay
-  outside the timer;
+  outside the timer. A timer may instead return (seconds, readings),
+  readings mapping a name to another number of the call (footprint.py's
+  child `maxrss_mb`): the record then holds `median_<name>`,
+  `min_<name>` and every reading, `<name>`, by layer, not host-scaled;
 - outputs: a callable, run after the layers in every repeat, that
   returns the record's hash fields; every repeat must return the same.
 
@@ -74,19 +77,30 @@ def digest(arrays) -> str:
 def measure(name, build, repeats, unit, host_ref) -> dict:
     facts, layers, outputs = build()
     times = {k: [] for k in layers}
+    readings = {}               # reading name -> layer -> values
     seen = set()
     for _ in range(repeats):
         host_ref.append(host_reference())
         for k, seconds in layers.items():
-            times[k].append(seconds())
+            t = seconds()
+            if isinstance(t, tuple):
+                t, extra = t
+                for r, v in extra.items():
+                    readings.setdefault(r, {}).setdefault(k, []).append(v)
+            times[k].append(t)
         seen.add(json.dumps(outputs(), sort_keys=True))
     if len(seen) != 1:
         raise SystemExit(f"{name}: repeats gave different outputs")
     f = UNITS[unit]
-    return {"name": name, **facts, "repeats": repeats, **json.loads(seen.pop()),
-            f"median_{unit}": {k: f * statistics.median(v) for k, v in times.items()},
-            f"min_{unit}": {k: f * min(v) for k, v in times.items()},
-            f"times_{unit}": {k: [f * x for x in v] for k, v in times.items()}}
+    record = {"name": name, **facts, "repeats": repeats, **json.loads(seen.pop()),
+              f"median_{unit}": {k: f * statistics.median(v) for k, v in times.items()},
+              f"min_{unit}": {k: f * min(v) for k, v in times.items()},
+              f"times_{unit}": {k: [f * x for x in v] for k, v in times.items()}}
+    for r, by_layer in readings.items():
+        record[f"median_{r}"] = {k: statistics.median(v) for k, v in by_layer.items()}
+        record[f"min_{r}"] = {k: min(v) for k, v in by_layer.items()}
+        record[r] = by_layer
+    return record
 
 
 def main(doc, out, unit, shapes, key="shapes") -> int:

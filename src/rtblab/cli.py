@@ -64,7 +64,9 @@ def _cfg(args) -> Config:
 
 
 def _load_split(data_dir, split) -> SampleSet:
-    return SampleSet.load(os.path.join(data_dir, f"{split}.samples"))
+    """One split's samples, whose width must be that of the data's dict.txt."""
+    width = FeatureDict.load(os.path.join(data_dir, "dict.txt")).width
+    return SampleSet.load(os.path.join(data_dir, f"{split}.samples"), width)
 
 
 def _load_stats(data_dir, split) -> DatasetStats:

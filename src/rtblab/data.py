@@ -24,8 +24,9 @@ bid is finite and >= 0, a price is empty or finite and >= 0, a flag is 0
 or 1, and a won row has a price no higher than its bid. Ingest skips
 and counts a line that breaks a rule or has another number of cells
 than the schema, and ignores empty lines; SampleSet.load refuses, as a
-DataError, a file with any such line or an empty one, a bad header, no
-rows, or a request index outside the width.
+DataError, a file with any such line or an empty one, a bad header, a
+header width other than the one asked for (the CLI asks for dict.txt's),
+no rows, or a request index outside the width.
 """
 
 import math
@@ -604,15 +605,20 @@ class SampleSet:
                   f"samples 1 {self.width}\n")
 
     @classmethod
-    def load(cls, path) -> "SampleSet":
+    def load(cls, path, width=None) -> "SampleSet":
         """Read a sample file; DataError if it refuses any line (see
-        _parse_rows), a request index lies outside the width, or the
-        header or the indices are malformed."""
+        _parse_rows), a request index lies outside the width, the header
+        or the indices are malformed, or, when width is given (the
+        feature dictionary's), the header's width differs from it; that
+        is checked before any row is read."""
         chunks = _line_chunks(path, "samples")
         lines = next(chunks, [""])
         header = lines[0].split()
         if len(header) != 3 or header[0] != "samples" or not header[2].isdecimal():
             raise DataError(f"{path} is not a sample file")
+        if width is not None and int(header[2]) != width:
+            raise DataError(f"{path}: request width {int(header[2])} differs from the "
+                            f"feature dictionary's width {width}")
         width, lineno, parts = int(header[2]), 1, []
         for lines in chain([lines[1:]], chunks):
             col, kept = _parse_rows(lines, _SAMPLE_SCHEMA)

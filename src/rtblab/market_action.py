@@ -8,18 +8,25 @@ penalised censored likelihood (Tobit): exact Gaussian terms on wins,
 survival terms on losses, minimised as an NLL by deterministic
 full-batch L-BFGS-B. Clicks are observed only on impressions and fit by
 logistic regression with minibatch Adam and early stopping.
+
+scipy is imported inside the two functions of the price fit that use it,
+censored_nll (log_ndtr) and _fit_price (L-BFGS-B), so a process that
+fits no price model never loads it.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm
 
 from .data import PackedRequests, SampleSet
 from .errors import DataError, NumericalError
 from .optim import AdamState, adam_step
+
+
+# log of the standard normal density's constant, the value scipy.stats.norm
+# subtracts in logpdf (so the hazard below matches it bit for bit)
+LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 @dataclass
@@ -48,8 +55,11 @@ def censored_nll(model: PriceModel, packed: PackedRequests, bids, prices, wins,
     """Mean per-sample negative log-likelihood and its gradients.
 
     Wins contribute exact Gaussian terms; losses contribute
-    -log P(w >= bid | x) through the stable complementary normal CDF.
+    -log P(w >= bid | x) = -log_ndtr(-t) at t = (bid - mu) / sigma, and
+    the hazard pdf(t) / P(w >= bid | x) in the log domain.
     """
+    from scipy.special import log_ndtr
+
     wins = np.asarray(wins, dtype=bool)
     n = len(packed)
     mu = model.mu(packed)
@@ -68,8 +78,9 @@ def censored_nll(model: PriceModel, packed: PackedRequests, bids, prices, wins,
     losses = ~wins
     if losses.any():
         t = (np.asarray(bids)[losses] - mu[losses]) / sig[losses]
-        nll[losses] = -norm.logsf(t)
-        hazard = np.exp(norm.logpdf(t) - norm.logsf(t))
+        logsf = log_ndtr(-t)
+        nll[losses] = -logsf
+        hazard = np.exp((-t**2 / 2.0 - LOG_SQRT_2PI) - logsf)
         r_mu[losses] = -hazard / sig[losses]
         r_ls[losses] = -hazard * t
     loss = float(nll.mean()) + 0.5 * l2 * float(
@@ -187,6 +198,8 @@ def _fit_price(train, val, l2, cfg):
     zeros) is mu = m, sigma = s. Returns (model, info, why the fit
     stopped short of convergence or None); info is train_price_model's.
     """
+    from scipy.optimize import minimize
+
     won = train.prices[train.wins]
     m = float(won.mean())
     s = float(won.std()) or 1.0   # equal prices: any positive unit will do

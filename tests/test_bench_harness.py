@@ -17,11 +17,14 @@ sys.path.insert(0, {bench!r})
 import harness
 
 count = itertools.count()
+reading = itertools.count()
 
 
 def shape():
     outputs = {outputs}
-    return {{"size": 3}}, {{"noop": harness.timer(lambda: None, 3)}}, outputs
+    layers = {{"noop": harness.timer(lambda: None, 3),
+               "read": lambda: (0.25, {{"rss_mb": 10.0 + next(reading)}})}}
+    return {{"size": 3}}, layers, outputs
 
 
 sys.exit(harness.main(__doc__, "BENCH_toy.json", "us", {{"toy": shape}}))
@@ -50,7 +53,19 @@ def test_a_new_label_leaves_the_other_labels_as_they_were(tmp_path):
     (toy,) = new["shapes"]
     assert toy["name"] == "toy" and toy["size"] == 3 and toy["repeats"] == 1
     assert toy["outputs_sha256"] == "same"
-    assert set(toy["median_us"]) == set(toy["scaled_median_us"]) == {"noop"}
+    assert set(toy["median_us"]) == set(toy["scaled_median_us"]) == {"noop", "read"}
+    assert toy["median_us"]["read"] == 0.25e6
+
+
+def test_readings_beside_the_time_are_kept_by_layer_unscaled(tmp_path):
+    out = tmp_path / "toy.json"
+    res = run_toy(tmp_path, SAME, "--repeats", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    (toy,) = json.loads(out.read_text())["runs"]["new"]["shapes"]
+    assert toy["rss_mb"] == {"read": [10.0, 11.0, 12.0]}
+    assert toy["median_rss_mb"] == {"read": 11.0}
+    assert toy["min_rss_mb"] == {"read": 10.0}
+    assert "rss_mb" not in toy["scaled_median_us"]
 
 
 def test_outputs_that_differ_between_repeats_exit_non_zero(tmp_path):

@@ -906,10 +906,68 @@ def test_train_market_on_samples_wider_than_the_dictionary_exits_3(workdir, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,split,claimed", [
+    # a header of 10**14 once made train-price exit 1 with numpy's
+    # _ArrayMemoryError (1.42 PiB) from the price fit
+    ("train-price", "train", lambda width: 100000000000000),
+    ("train-price", "train", lambda width: width - 1),
+    ("train-market", "train", lambda width: width - 1),
+    ("mmd", "test", lambda width: width + 1),
+    ("mmd", "test", lambda width: 100000000000000),
+], ids=["train-price 1e14", "train-price narrower", "train-market narrower",
+        "mmd wider", "mmd 1e14"])
+def test_sample_width_other_than_the_dictionary_exits_3(workdir, tmp_path, capsys,
+                                                        command, split, claimed):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    path = data / f"{split}.samples"
+    header, rest = path.read_text().split("\n", 1)
+    width = int(header.split()[2])
+    path.write_text(f"samples 1 {claimed(width)}\n{rest}")
+    out = tmp_path / "out"
+    if command == "mmd":
+        argv = ["mmd", "--data", str(data), "--model", str(tmp_path / "market.ckpt"),
+                "--out", str(out)]
+    else:
+        argv = [command, str(data), "--split", split, "--out", str(out)]
+    assert cli_main(argv + TINY_SETS) == 3
+    err = capsys.readouterr().err
+    assert f"{split}.samples: request width {claimed(width)} differs" in err
+    assert f"width {width}" in err
+    assert not out.exists()
+
+
+def scipy_modules_after(code) -> list:
+    """The scipy modules loaded once a fresh interpreter has run code. A
+    new process, because the test process itself imports scipy.stats
+    for its oracles."""
+    src = os.path.dirname(os.path.dirname(rtblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (code + "\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1].split()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_modules_after("import rtblab.cli") == []
+
+
+def test_train_price_loads_no_scipy_stats(workdir, tmp_path):
+    # the price fit needs scipy.special and scipy.optimize only
+    argv = ["train-price", str(workdir / "data"), "--split", "train",
+            "--out", str(tmp_path / "price.ckpt")] + TINY_SETS
+    loaded = scipy_modules_after(f"import rtblab.cli\nassert rtblab.cli.main({argv!r}) == 0")
+    assert "scipy.optimize" in loaded and "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.stats")]
+
+
 # the commands that read each file of an ingested data directory
 PROBED = {
     "train.samples": ("train-price", "train-market"),
-    "dict.txt": ("train-market",),
+    "dict.txt": ("train-market", "train-price"),
     "stats_train.txt": ("stats", "solve-rlb"),
     "hist_train.tsv": ("stats", "solve-rlb"),
 }

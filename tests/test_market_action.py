@@ -108,6 +108,70 @@ class TestCensoredNll:
         assert np.allclose(grads["logsig_w"], finite_diff(loss, model.logsig_w), atol=1e-7)
 
 
+def reference_censored_nll(model, packed, bids, prices, wins, l2=0.0):
+    """censored_nll as it was written over scipy.stats.norm: the oracle the
+    log_ndtr body must match bit for bit."""
+    wins = np.asarray(wins, dtype=bool)
+    n = len(packed)
+    mu = model.mu(packed)
+    logsig = packed.dot(model.logsig_w) + model.logsig_b
+    sig = np.exp(logsig)
+    r_mu, r_ls, nll = np.zeros(n), np.zeros(n), np.zeros(n)
+    if wins.any():
+        z = (np.asarray(prices)[wins] - mu[wins]) / sig[wins]
+        nll[wins] = logsig[wins] + 0.5 * z * z + 0.5 * np.log(2 * np.pi)
+        r_mu[wins] = -z / sig[wins]
+        r_ls[wins] = 1.0 - z * z
+    losses = ~wins
+    if losses.any():
+        t = (np.asarray(bids)[losses] - mu[losses]) / sig[losses]
+        nll[losses] = -norm.logsf(t)
+        hazard = np.exp(norm.logpdf(t) - norm.logsf(t))
+        r_mu[losses] = -hazard / sig[losses]
+        r_ls[losses] = -hazard * t
+    loss = float(nll.mean()) + 0.5 * l2 * float(
+        np.dot(model.mu_w, model.mu_w) + np.dot(model.logsig_w, model.logsig_w))
+    return loss, {"mu_w": packed.scatter(r_mu / n) + l2 * model.mu_w,
+                  "mu_b": float(r_mu.mean()),
+                  "logsig_w": packed.scatter(r_ls / n) + l2 * model.logsig_w,
+                  "logsig_b": float(r_ls.mean())}
+
+
+def oracle_rows(n, won_share, seed):
+    """n one-hot rows over 5 categories whose lost rows sit at t from -40
+    to 40 standard deviations of the bid; a won row's price lies within
+    3 sigma of the mean."""
+    rng = stream(seed, "nll-oracle")
+    packed = onehot_requests(rng.integers(0, 5, size=n), 5)
+    model = PriceModel(rng.normal(scale=10.0, size=5), 60.0,
+                       rng.normal(scale=0.3, size=5), 2.0)
+    t = np.linspace(-40.0, 40.0, n) if n > 1 else np.array([7.5])
+    bids = model.mu(packed) + model.sigma(packed) * t
+    wins = rng.random(n) < won_share
+    prices = np.where(wins, model.mu(packed) + model.sigma(packed)
+                      * rng.uniform(-3, 3, n), np.nan)
+    return model, packed, bids, prices, wins
+
+
+class TestCensoredNllOracle:
+    @pytest.mark.parametrize("n, won_share", [
+        (1200, 0.4),     # t spans +-40 on the lost rows
+        (3600, 0.0),     # all censored
+        (300, 1.0),      # all won
+        (1, 0.0),        # one lost row
+        (1, 1.0),        # one won row
+    ])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_bitwise_equal_to_scipy_stats_body(self, n, won_share, l2):
+        model, packed, bids, prices, wins = oracle_rows(n, won_share, seed=n)
+        assert wins.all() == (won_share == 1.0) and wins.any() == (won_share > 0.0)
+        loss, grads = censored_nll(model, packed, bids, prices, wins, l2=l2)
+        ref_loss, ref = reference_censored_nll(model, packed, bids, prices, wins, l2=l2)
+        assert np.array_equal(loss, ref_loss)
+        for key in ("mu_w", "mu_b", "logsig_w", "logsig_b"):
+            assert np.array_equal(grads[key], ref[key]), key
+
+
 def recovery_market(seed, n=12_000):
     # one categorical field keeps the per-category means identifiable; all
     # means sit >= 3 sigma above zero so the physical price clip is inert
