@@ -9,6 +9,15 @@ entry names its dtype, and an entry without one (written before dtypes
 were recorded) is float64. Round trips are bit-exact and keep the
 dtype, so a Q-network saved in float64 loads and acts in float64.
 
+The codec streams each array. save_checkpoint hashes and writes every
+array from its own buffer, so it holds no copy beyond a dtype or
+layout conversion (an int64 array stored as int32, or a transposed
+view made C-contiguous). load_checkpoint checks the whole directory
+against the file's size before it allocates, then reads each array
+straight into its own buffer, so it holds the arrays once. A header
+whose directory the payload cannot hold is a DataError, as is a bad
+hash; no array is returned before both checks.
+
 Every typed manifest is built by _manifest (type, split, the config as
 strings, then the kind's own fields), and every typed file is opened by
 _load_kind, which refuses a file of another type and runs the kind's
@@ -29,6 +38,8 @@ naming the file. The kinds and the helpers that own them:
 
 import hashlib
 import json
+import math
+import os
 
 import numpy as np
 
@@ -47,9 +58,12 @@ QNET_PARTS = ("trunk", "value", "advantage")   # QNetwork's Mlp fields, in order
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict) -> None:
-    """Write manifest + arrays; array order follows the directory listing."""
-    directory = []
-    payload = bytearray()
+    """Write manifest + arrays; array order follows the directory listing.
+    Each array is hashed and written from its own buffer, so nothing is
+    copied but an array that is not already C-contiguous in its stored
+    dtype."""
+    directory, blobs = [], []
+    digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.asarray(arrays[name])
         if np.issubdtype(arr.dtype, np.integer):
@@ -62,57 +76,91 @@ def save_checkpoint(path, manifest: dict, arrays: dict) -> None:
         else:
             dtype = "<f8"
         directory.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
-        payload.extend(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        blob = np.ascontiguousarray(arr, dtype=dtype)   # a view when arr already is one
+        digest.update(blob)
+        blobs.append(blob)
     head = dict(manifest)
     head["arrays"] = directory
-    head["sha256"] = hashlib.sha256(bytes(payload)).hexdigest()
+    head["sha256"] = digest.hexdigest()
     with open(path, "wb") as fh:
         fh.write((MAGIC + "\n").encode())
         fh.write((json.dumps(head, sort_keys=True) + "\n").encode())
-        fh.write(bytes(payload))
+        for blob in blobs:
+            fh.write(blob)
 
 
 def load_checkpoint(path):
-    """Returns (manifest, arrays); refuses unknown versions and bad hashes."""
+    """Returns (manifest, arrays); refuses unknown versions, a directory
+    that does not fit the payload and bad hashes. The directory is
+    checked against the file's size before any array is allocated, and
+    each array is read straight into its own buffer, so the arrays are
+    held once."""
     try:
         with open(path, "rb") as fh:
-            magic = fh.readline().decode().strip()
-            if magic != MAGIC:
-                raise DataError(f"{path}: unknown checkpoint version {magic!r}")
-            head = json.loads(fh.readline().decode())
-            payload = fh.read()
+            head = _read_head(path, fh)
+            entries = _directory(path, head, os.fstat(fh.fileno()).st_size - fh.tell())
+            arrays = {}
+            digest = hashlib.sha256()
+            for name, shape, dtype in entries:
+                try:
+                    arr = np.empty(shape, dtype)
+                except (ValueError, OverflowError) as exc:   # a zero-size shape numpy cannot hold
+                    raise DataError(f"{path}: array {name!r} has an impossible shape "
+                                    f"{list(shape)} ({exc})") from exc
+                buf = arr.reshape(-1).view(np.uint8)
+                if fh.readinto(buf) != buf.size:
+                    raise DataError(f"{path}: array {name!r} runs past the end "
+                                    "of the payload")
+                digest.update(buf)
+                arrays[name] = arr
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if digest.hexdigest() != head.get("sha256"):
+        raise DataError(f"{path}: integrity hash mismatch (truncated or corrupt)")
+    manifest = {k: v for k, v in head.items() if k not in ("arrays", "sha256")}
+    return manifest, arrays
+
+
+def _read_head(path, fh) -> dict:
+    """The magic line and the JSON header of an open checkpoint."""
+    try:
+        magic = fh.readline().decode().strip()
+        if magic != MAGIC:
+            raise DataError(f"{path}: unknown checkpoint version {magic!r}")
+        head = json.loads(fh.readline().decode())
     except ValueError as exc:   # a header that is not UTF-8 JSON
         raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
     if not isinstance(head, dict):
         raise DataError(f"{path}: checkpoint header is not a JSON object")
-    if hashlib.sha256(payload).hexdigest() != head.get("sha256"):
-        raise DataError(f"{path}: integrity hash mismatch (truncated or corrupt)")
+    return head
+
+
+def _directory(path, head: dict, payload_bytes: int) -> list:
+    """[(name, shape, dtype)] of the header's array directory, each entry
+    checked (a string name, a shape of non-negative ints, a known dtype)
+    and their summed size checked against the payload's, so nothing is
+    allocated for a directory the file cannot hold."""
     if not isinstance(head.get("arrays"), list):
         raise DataError(f"{path}: checkpoint header has no array directory")
-    arrays = {}
+    entries = []
     offset = 0
     for entry in head["arrays"]:
-        if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
             raise DataError(f"{path}: malformed array directory entry {entry!r}")
         dtype = entry.get("dtype", "<f8")
         if dtype not in DTYPES:
             raise DataError(f"{path}: unknown array dtype {dtype!r}")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * np.dtype(dtype).itemsize
-        if offset + nbytes > len(payload):
+        offset += math.prod(entry["shape"]) * np.dtype(dtype).itemsize
+        if offset > payload_bytes:
             raise DataError(f"{path}: array {entry['name']!r} runs past the end "
                             "of the payload")
-        arrays[entry["name"]] = np.frombuffer(
-            payload[offset : offset + nbytes], dtype=dtype
-        ).reshape(entry["shape"]).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise DataError(f"{path}: {len(payload) - offset} payload bytes belong "
+        entries.append((entry["name"], tuple(entry["shape"]), dtype))
+    if offset != payload_bytes:
+        raise DataError(f"{path}: {payload_bytes - offset} payload bytes belong "
                         "to no array in the directory")
-    manifest = {k: v for k, v in head.items() if k not in ("arrays", "sha256")}
-    return manifest, arrays
+    return entries
 
 
 def hash_requests(requests) -> str:

@@ -272,6 +272,60 @@ class TestCheckpointContainer:
         with pytest.raises(DataError, match="entry.ckpt"):
             ckpt.load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit", [
+        {"shape": ["a"]}, {"shape": [-2, -3]}, {"shape": [2.5, 2]},
+        {"shape": [[2, 3]]}, {"shape": [True, 6]}, {"shape": 6}, {"name": ["x"]},
+        {"name": 3},
+    ], ids=repr)
+    def test_edited_directory_entry_rejected(self, tmp_path, edit):
+        # the payload hash does not cover the header, so an edited entry
+        # reaches the directory check with a good hash
+        p = tmp_path / "edited.ckpt"
+        entry = {"name": "a", "shape": [2, 3], "dtype": "<f8", **edit}
+        self.write_raw(p, [entry], np.arange(6.0).tobytes())
+        with pytest.raises(DataError, match="edited.ckpt"):
+            ckpt.load_checkpoint(p)
+
+    def test_agent_with_edited_entry_rejected(self, tmp_path):
+        p = tmp_path / "agent.ckpt"
+        self.write_raw(p, [{"name": "b0", "shape": [True], "dtype": "<f8"}],
+                       np.array([2.5]).tobytes())
+        with pytest.raises(DataError, match="agent.ckpt"):
+            ckpt.load_agent(p)
+
+    @pytest.mark.parametrize("directory", [
+        [{"name": "value", "shape": [10**12], "dtype": "<f8"}],
+        [{"name": "value", "shape": [10**6, 10**6], "dtype": "<f8"}],
+        [{"name": "value", "shape": [3, 10**40], "dtype": "<f8"}],
+        [{"name": "a", "shape": [2], "dtype": "<f8"},
+         {"name": "value", "shape": [10**12], "dtype": "<i4"}],
+    ], ids=["one", "product", "past_int64", "second_entry"])
+    def test_huge_shape_rejected_before_allocation(self, tmp_path, monkeypatch, directory):
+        p = tmp_path / "huge.ckpt"
+        self.write_raw(p, directory, np.arange(6.0).tobytes())
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(DataError, match="huge.ckpt: array 'value' runs past the end"):
+            ckpt.load_checkpoint(p)
+
+    def test_zero_size_shape_numpy_cannot_hold_rejected(self, tmp_path):
+        p = tmp_path / "zero.ckpt"
+        self.write_raw(p, [{"name": "a", "shape": [0, 2**70], "dtype": "<f8"}], b"")
+        with pytest.raises(DataError, match="zero.ckpt"):
+            ckpt.load_checkpoint(p)
+
+    def test_flipped_payload_byte_fails_hash(self, tmp_path):
+        p = tmp_path / "flip.ckpt"
+        ckpt.save_checkpoint(p, {"type": "test"}, {"a": np.arange(10.0)})
+        raw = bytearray(p.read_bytes())
+        raw[-3] ^= 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="flip.ckpt: integrity hash mismatch"):
+            ckpt.load_checkpoint(p)
+
     def test_unclaimed_payload_bytes_rejected(self, tmp_path):
         p = tmp_path / "tail.ckpt"
         self.write_raw(p, [{"name": "a", "shape": [2], "dtype": "<f8"}],
